@@ -6,9 +6,12 @@ form.  Every isomorphism class on n vertices arises this way: delete any
 vertex of a member, map the rest onto its class representative, and the
 deleted vertex's neighborhood gives the extension mask.
 
-Sweeps stream graphs, stop collecting after 100 violations, and are
-deterministic: identical reports (elapsed time aside) across runs and
-across worker counts.
+A sweep builds one invariant table over those classes, bottom-up: each
+class is solved once, its ab-perfect flags come from its own values and
+the flags of its one-vertex deletions one level down, and the theorem is
+a predicate over each row.  Sweeps stop collecting after 100 violations
+and are deterministic: identical reports (elapsed time aside) across
+runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .forbidden import PATTERNS, contains_induced, family_check
 from .graph6 import parse_graph6_lines, to_graph6
@@ -36,19 +40,26 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     from_edge_list,
+    induced_subgraph,
     is_connected,
     path_graph,
     universal_vertices,
 )
-from .perfectness import is_ab_perfect, verify_equivalence
+from .perfectness import (
+    INVARIANT_CHAIN,
+    INVARIANT_SOLVERS,
+    is_ab_perfect,
+    recognize_structure,
+)
 from .solvers import (
     achromatic_number,
-    chromatic_number,
     clique_number,
-    grundy_number,
     has_coloring,
     pseudoachromatic_number,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 LABELED_CAP = 7
 CANONICAL_ENUM_CAP = 8
@@ -56,11 +67,13 @@ VIOLATION_LIMIT = 100
 
 
 @lru_cache(maxsize=None)
-def _canonical_level(n: int) -> tuple[Graph, ...]:
+def _canonical_level(n: int) -> dict[bytes, Graph]:
+    """One representative per isomorphism class on n vertices, keyed by canonical form."""
     if n == 1:
-        return (empty_graph(1),)
+        g = empty_graph(1)
+        return {canonical_form(g): g}
     seen: dict[bytes, Graph] = {}
-    for parent in _canonical_level(n - 1):
+    for parent in _canonical_level(n - 1).values():
         base = list(parent.adj) + [0]
         for mask in range(1 << (n - 1)):
             rows = list(base)
@@ -71,7 +84,7 @@ def _canonical_level(n: int) -> tuple[Graph, ...]:
             key = canonical_form(g)
             if key not in seen:
                 seen[key] = g
-    return tuple(seen.values())
+    return seen
 
 
 def enumerate_graphs(n: int, mode: str = "canonical") -> Iterator[Graph]:
@@ -87,61 +100,174 @@ def enumerate_graphs(n: int, mode: str = "canonical") -> Iterator[Graph]:
             raise CapacityError(
                 f"canonical enumeration capped at {CANONICAL_ENUM_CAP} vertices, got {n}"
             )
-        yield from _canonical_level(n)
+        yield from _canonical_level(n).values()
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'labeled' or 'canonical'")
 
 
 # ---------------------------------------------------------------------------
-# Theorem checkers (one per sweep id); each returns a detail string on
-# violation and None on success.
+# The invariant table: one row per isomorphism class, built level by level.
+#
+# Every proper induced subgraph of G lies inside some G - v, so by the
+# definition of ab-perfectness alone
+#     perfect_ab(G) = [a(G) = b(G)] and perfect_ab(G - v) for every v,
+# with each G - v read from the level below by its canonical form.  No
+# theorem a sweep verifies is assumed.
 # ---------------------------------------------------------------------------
 
 
-def _check_eq1_chain(g: Graph) -> str | None:
-    values = (
-        clique_number(g),
-        chromatic_number(g),
-        grundy_number(g),
-        achromatic_number(g),
-        pseudoachromatic_number(g),
-    )
+class _Row(NamedTuple):
+    """What a sweep knows about one isomorphism class.
+
+    ``values`` maps each solved invariant to its raw value, so a broken
+    chain reaches the checker instead of raising; ``facts`` holds the
+    target's per-graph results that are not invariants; ``flags`` maps
+    each pair (a, b) to whether the class is ab-perfect.
+    """
+
+    values: dict[str, int]
+    facts: tuple
+    flags: dict[tuple[str, str], bool]
+
+
+@dataclass(frozen=True)
+class _Target:
+    """One table-backed sweep: what each row holds and the predicate over it.
+
+    ``check`` maps a row to a violation detail, or None.  The invariants
+    solved are those named in ``pairs`` and ``invariants``; ``facts``
+    computes the rest of the row from the graph and its solved values.  A
+    graph failing ``hypothesis`` gets no row and is not counted.
+    ``witnesses`` checks graphs outside the table after it, appending to
+    the violations and returning how many graphs it checked.
+    """
+
+    check: Callable[[_Row], str | None]
+    pairs: tuple[tuple[str, str], ...] = ()
+    invariants: tuple[str, ...] = ()
+    facts: Callable[[Graph, dict[str, int]], tuple] | None = None
+    hypothesis: Callable[[Graph], bool] | None = None
+    witnesses: Callable[[list[tuple[str, str]]], int] | None = None
+
+    @property
+    def solved(self) -> tuple[str, ...]:
+        wanted = set(self.invariants).union(*self.pairs)
+        return tuple(name for name in INVARIANT_CHAIN if name in wanted)
+
+
+def _solve_row(theorem: str, g: Graph) -> tuple[dict[str, int], tuple, tuple[bytes, ...]] | None:
+    """Worker body: everything in g's row that needs only g itself.
+
+    Returns the solved invariants, the facts, and the canonical forms of
+    the one-vertex deletions; those are computed only when some pair has
+    a(G) = b(G), since otherwise every flag is false.  None when g fails
+    the target's hypothesis.
+    """
+    target = _TARGETS[theorem]
+    if target.hypothesis is not None and not target.hypothesis(g):
+        return None
+    values = {name: INVARIANT_SOLVERS[name](g) for name in target.solved}
+    facts = target.facts(g, values) if target.facts is not None else ()
+    deletions: tuple[bytes, ...] = ()
+    if g.n > 1 and any(values[a] == values[b] for a, b in target.pairs):
+        everyone = range(g.n)
+        deletions = tuple(
+            _deletion_class(induced_subgraph(g, [u for u in everyone if u != v]))
+            for v in everyone
+        )
+    return values, facts, deletions
+
+
+@lru_cache(maxsize=1 << 16)
+def _deletion_class(h: Graph) -> bytes:
+    """Canonical form of a one-vertex deletion.
+
+    Classes of one level share most of their labelled deletions: the
+    1,252 classes up to 7 vertices have 8,474 deletions but only 1,731
+    distinct ones, so a bounded memo skips most canonical labelling.
+    """
+    return canonical_form(h)
+
+
+def _table_rows(
+    theorem: str, n_max: int, pool: Executor | None = None
+) -> Iterator[tuple[Graph, _Row | None]]:
+    """The row of every class up to n_max vertices, in enumeration order.
+
+    The classes of one level are solved independently, in ``pool`` when
+    given; their flags then read those of the level below, the only rows
+    the table keeps.
+    """
+    target = _TARGETS[theorem]
+    solve = partial(_solve_row, theorem)
+    below: dict[bytes, dict[tuple[str, str], bool]] = {}
+    for n in range(1, n_max + 1):
+        graphs = list(enumerate_graphs(n, "canonical"))
+        solved = map(solve, graphs) if pool is None else pool.map(solve, graphs, chunksize=16)
+        here: dict[bytes, dict[tuple[str, str], bool]] = {}
+        for key, g, result in zip(_canonical_level(n), graphs, solved):
+            if result is None:
+                yield g, None
+                continue
+            values, facts, deletions = result
+            flags = {
+                (a, b): values[a] == values[b]
+                and all(below[k][a, b] for k in deletions)
+                for a, b in target.pairs
+            }
+            if flags:
+                here[key] = flags
+            yield g, _Row(values, facts, flags)
+        below = here
+
+
+# ---------------------------------------------------------------------------
+# Theorem targets (one per table-backed sweep id); each check returns a
+# detail string on violation and None on success.
+# ---------------------------------------------------------------------------
+
+
+def _check_eq1_chain(row: _Row) -> str | None:
+    values = [row.values[name] for name in INVARIANT_CHAIN]
     if any(a > b for a, b in zip(values, values[1:])):
-        names = ("omega", "chi", "gamma", "alpha", "psi")
-        joined = " ".join(f"{k}={v}" for k, v in zip(names, values))
+        joined = " ".join(f"{k}={v}" for k, v in zip(INVARIANT_CHAIN, values))
         return f"chain violated: {joined}"
     return None
 
 
-def _check_theorem4(g: Graph) -> str | None:
-    record = verify_equivalence(g)
-    if not record.all_equal:
+def _theorem4_facts(g: Graph, values: dict[str, int]) -> tuple[bool, bool]:
+    return family_check(g, "omega_psi_quartet").free, recognize_structure(g).accepted
+
+
+def _check_theorem4(row: _Row) -> str | None:
+    omega_psi, chi_psi = row.flags["omega", "psi"], row.flags["chi", "psi"]
+    quartet_free, structure = row.facts
+    if not omega_psi == chi_psi == quartet_free == structure:
         return (
             "equivalence broken: "
-            f"omega_psi={record.omega_psi_perfect} "
-            f"chi_psi={record.chi_psi_perfect} "
-            f"quartet_free={record.quartet_free} "
-            f"structure={record.structure_accepted}"
+            f"omega_psi={omega_psi} "
+            f"chi_psi={chi_psi} "
+            f"quartet_free={quartet_free} "
+            f"structure={structure}"
         )
     return None
 
 
-def _check_theorem1_cs(g: Graph) -> str | None:
-    p_og = is_ab_perfect(g, "omega", "gamma").perfect
-    p_cg = is_ab_perfect(g, "chi", "gamma").perfect
-    free = family_check(g, "p4_only").free
-    if not p_og == p_cg == free:
-        return f"omega_gamma={p_og} chi_gamma={p_cg} p4_free={free}"
-    return None
+def _equivalence_target(b: str, family: str, label: str) -> _Target:
+    """omega-b-perfect, chi-b-perfect and ``family``-free coincide."""
 
+    def check(row: _Row) -> str | None:
+        p_omega, p_chi = row.flags["omega", b], row.flags["chi", b]
+        (free,) = row.facts
+        if not p_omega == p_chi == free:
+            return f"omega_{b}={p_omega} chi_{b}={p_chi} {label}_free={free}"
+        return None
 
-def _check_theorem2_cs(g: Graph) -> str | None:
-    p_oa = is_ab_perfect(g, "omega", "alpha").perfect
-    p_ca = is_ab_perfect(g, "chi", "alpha").perfect
-    free = family_check(g, "achro_triple").free
-    if not p_oa == p_ca == free:
-        return f"omega_alpha={p_oa} chi_alpha={p_ca} triple_free={free}"
-    return None
+    return _Target(
+        check,
+        pairs=(("omega", b), ("chi", b)),
+        facts=lambda g, values: (family_check(g, family).free,),
+    )
 
 
 def _is_c4_p4_free(g: Graph) -> bool:
@@ -155,45 +281,40 @@ def _lemma1_filter(g: Graph) -> bool:
     return is_connected(g) and _is_c4_p4_free(g)
 
 
-def _check_lemma1(g: Graph) -> str | None:
-    if not universal_vertices(g):
+def _check_lemma1(row: _Row) -> str | None:
+    (has_universal,) = row.facts
+    if not has_universal:
         return "connected (C4,P4)-free graph without a universal vertex"
     return None
 
 
-def _check_interpolation_hhp(g: Graph) -> str | None:
-    chi = chromatic_number(g)
-    alpha = achromatic_number(g)
-    for a in range(chi, alpha + 1):
-        if not has_coloring(g, a, "proper_complete"):
-            return f"no proper complete coloring with {a} colors (chi={chi}, alpha={alpha})"
-    return None
+def _interpolation_target(high: str, mode: str, label: str) -> _Target:
+    """A coloring of ``mode`` exists with every count from chi(G) to high(G)."""
+
+    def facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
+        counts = range(values["chi"], values[high] + 1)
+        return (next((k for k in counts if not has_coloring(g, k, mode)), None),)
+
+    def check(row: _Row) -> str | None:
+        (gap,) = row.facts
+        if gap is None:
+            return None
+        return (
+            f"no {label} coloring with {gap} colors "
+            f"(chi={row.values['chi']}, {high}={row.values[high]})"
+        )
+
+    return _Target(check, invariants=("chi", high), facts=facts)
 
 
-def _check_interpolation_grundy(g: Graph) -> str | None:
-    chi = chromatic_number(g)
-    gamma = grundy_number(g)
-    for b in range(chi, gamma + 1):
-        if not has_coloring(g, b, "grundy"):
-            return f"no Grundy coloring with {b} colors (chi={chi}, gamma={gamma})"
-    return None
+# omega_psi implies omega_alpha implies omega_gamma implies omega_chi
+_FIGURE3_ORDER = ("psi", "alpha", "gamma", "chi")
 
 
-def _check_figure3_implications(g: Graph) -> str | None:
-    chain = [
-        is_ab_perfect(g, "omega", "psi").perfect,
-        is_ab_perfect(g, "omega", "alpha").perfect,
-        is_ab_perfect(g, "omega", "gamma").perfect,
-        is_ab_perfect(g, "omega", "chi").perfect,
-    ]
-    # omega_psi implies omega_alpha implies omega_gamma implies omega_chi
-    for stronger, weaker, label in (
-        (chain[0], chain[1], "omega_psi -> omega_alpha"),
-        (chain[1], chain[2], "omega_alpha -> omega_gamma"),
-        (chain[2], chain[3], "omega_gamma -> omega_chi"),
-    ):
-        if stronger and not weaker:
-            return f"inclusion {label} violated"
+def _check_figure3_inclusions(row: _Row) -> str | None:
+    for stronger, weaker in zip(_FIGURE3_ORDER, _FIGURE3_ORDER[1:]):
+        if row.flags["omega", stronger] and not row.flags["omega", weaker]:
+            return f"inclusion omega_{stronger} -> omega_{weaker} violated"
     return None
 
 
@@ -212,22 +333,46 @@ SEPARATION_WITNESSES: tuple[tuple[str, Callable[[], Graph], tuple[str, str], tup
 )
 
 
-@dataclass(frozen=True)
-class _Target:
-    checker: Callable[[Graph], str | None]
-    cap: int
-    hypothesis: Callable[[Graph], bool] | None = None
+def _sweep_figure3_witnesses(violations: list[tuple[str, str]]) -> int:
+    checked = 0
+    for name, make, perfect_pair, imperfect_pair in SEPARATION_WITNESSES:
+        g = make()
+        checked += 1
+        got_perfect = is_ab_perfect(g, *perfect_pair).perfect
+        got_imperfect = is_ab_perfect(g, *imperfect_pair).perfect
+        if not got_perfect:
+            violations.append(
+                (to_graph6(g), f"witness {name} not {perfect_pair[0]}-{perfect_pair[1]}-perfect")
+            )
+        if got_imperfect:
+            violations.append(
+                (
+                    to_graph6(g),
+                    f"witness {name} unexpectedly {imperfect_pair[0]}-{imperfect_pair[1]}-perfect",
+                )
+            )
+    return checked
 
 
 _TARGETS: dict[str, _Target] = {
-    "eq1_chain": _Target(_check_eq1_chain, CANONICAL_ENUM_CAP),
-    "theorem4": _Target(_check_theorem4, CANONICAL_ENUM_CAP),
-    "theorem1_cs": _Target(_check_theorem1_cs, CANONICAL_ENUM_CAP),
-    "theorem2_cs": _Target(_check_theorem2_cs, CANONICAL_ENUM_CAP),
-    "lemma1": _Target(_check_lemma1, CANONICAL_ENUM_CAP, hypothesis=_lemma1_filter),
-    "interpolation_hhp": _Target(_check_interpolation_hhp, CANONICAL_ENUM_CAP),
-    "interpolation_grundy": _Target(_check_interpolation_grundy, CANONICAL_ENUM_CAP),
-    "figure3_inclusions": _Target(_check_figure3_implications, CANONICAL_ENUM_CAP),
+    "eq1_chain": _Target(_check_eq1_chain, invariants=INVARIANT_CHAIN),
+    "theorem4": _Target(
+        _check_theorem4, pairs=(("omega", "psi"), ("chi", "psi")), facts=_theorem4_facts
+    ),
+    "theorem1_cs": _equivalence_target("gamma", "p4_only", "p4"),
+    "theorem2_cs": _equivalence_target("alpha", "achro_triple", "triple"),
+    "lemma1": _Target(
+        _check_lemma1,
+        facts=lambda g, values: (bool(universal_vertices(g)),),
+        hypothesis=_lemma1_filter,
+    ),
+    "interpolation_hhp": _interpolation_target("alpha", "proper_complete", "proper complete"),
+    "interpolation_grundy": _interpolation_target("gamma", "grundy", "Grundy"),
+    "figure3_inclusions": _Target(
+        _check_figure3_inclusions,
+        pairs=tuple(("omega", b) for b in _FIGURE3_ORDER),
+        witnesses=_sweep_figure3_witnesses,
+    ),
 }
 
 LEMMA2_CAP = 13
@@ -281,15 +426,6 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _evaluate(theorem: str, g6: str) -> str | None:
-    """Worker body: parse one graph6 line and run the theorem checker."""
-    target = _TARGETS[theorem]
-    g = next(parse_graph6_lines([g6]))
-    if target.hypothesis is not None and not target.hypothesis(g):
-        return "__skipped__"
-    return target.checker(g)
-
-
 def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
     """Two complete components plus isolated vertices keep omega = psi.
 
@@ -321,76 +457,63 @@ def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
     return checked, violations
 
 
-def _sweep_figure3_witnesses(violations: list[tuple[str, str]]) -> int:
+def _worker_count(jobs: int, items: int) -> int:
+    """Worker processes for ``items`` work items: at most jobs, cpus, or items."""
+    return min(jobs, os.cpu_count() or 1, items)
+
+
+def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[str, str]]]:
+    target = _TARGETS[theorem]
+    workers = 1
+    if jobs > 1:
+        classes = sum(len(_canonical_level(n)) for n in range(1, n_max + 1))
+        workers = _worker_count(jobs, classes)
+    pool: Executor | nullcontext = nullcontext()
+    if workers > 1:
+        # Imported here: multiprocessing adds about 15 ms to every start-up.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
     checked = 0
-    for name, make, perfect_pair, imperfect_pair in SEPARATION_WITNESSES:
-        g = make()
-        checked += 1
-        got_perfect = is_ab_perfect(g, *perfect_pair).perfect
-        got_imperfect = is_ab_perfect(g, *imperfect_pair).perfect
-        if not got_perfect:
-            violations.append(
-                (to_graph6(g), f"witness {name} not {perfect_pair[0]}-{perfect_pair[1]}-perfect")
-            )
-        if got_imperfect:
-            violations.append(
-                (
-                    to_graph6(g),
-                    f"witness {name} unexpectedly {imperfect_pair[0]}-{imperfect_pair[1]}-perfect",
-                )
-            )
-    return checked
+    violations: list[tuple[str, str]] = []
+    with pool as executor:
+        for g, row in _table_rows(theorem, n_max, executor):
+            if row is None:
+                continue
+            checked += 1
+            detail = target.check(row)
+            if detail is not None and len(violations) < VIOLATION_LIMIT:
+                violations.append((to_graph6(g), detail))
+    if target.witnesses is not None:
+        checked += target.witnesses(violations)
+    return checked, violations
 
 
 def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
     """Run one theorem check over every canonical graph with at most n_max vertices.
 
-    ``jobs`` > 1 fans the per-graph work out to a process pool; reports are
-    reduced in enumeration order, so the outcome is identical for any count.
+    Table-backed theorems solve each isomorphism class once and derive the
+    ab-perfect flags bottom-up (see ``_table_rows``).  ``jobs`` > 1
+    solves each level's classes in a process pool of at most ``jobs``
+    workers; rows are checked in enumeration order, so the report is
+    identical for any count.
     """
     start = time.monotonic()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if theorem == "lemma2":
         if not 1 <= n_max <= LEMMA2_CAP:
             raise CapacityError(f"lemma2 sweep capped at total order {LEMMA2_CAP}")
         checked, violations = _sweep_lemma2(n_max)
-        elapsed = int((time.monotonic() - start) * 1000)
-        return SweepReport("lemma2", n_max, checked, violations[:VIOLATION_LIMIT], elapsed)
-    if theorem not in _TARGETS:
-        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREM_IDS}")
-    target = _TARGETS[theorem]
-    if not 1 <= n_max <= target.cap:
-        raise CapacityError(f"{theorem} sweep capped at n={target.cap}, got {n_max}")
-    checked = 0
-    violations: list[tuple[str, str]] = []
-
-    def source() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for g in enumerate_graphs(n, "canonical"):
-                yield to_graph6(g)
-
-    if jobs <= 1:
-        results: Iterable[tuple[str, str | None]] = (
-            (g6, _evaluate(theorem, g6)) for g6 in source()
-        )
+    elif theorem in _TARGETS:
+        if not 1 <= n_max <= CANONICAL_ENUM_CAP:
+            raise CapacityError(
+                f"{theorem} sweep capped at n={CANONICAL_ENUM_CAP}, got {n_max}"
+            )
+        checked, violations = _sweep_table(theorem, n_max, jobs)
     else:
-        def parallel() -> Iterator[tuple[str, str | None]]:
-            lines = list(source())
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = pool.map(
-                    _evaluate, [theorem] * len(lines), lines, chunksize=16
-                )
-                yield from zip(lines, outcomes)
-
-        results = parallel()
-
-    for g6, outcome in results:
-        if outcome == "__skipped__":
-            continue
-        checked += 1
-        if outcome is not None and len(violations) < VIOLATION_LIMIT:
-            violations.append((g6, outcome))
-    if theorem == "figure3_inclusions":
-        checked += _sweep_figure3_witnesses(violations)
+        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREM_IDS}")
     elapsed = int((time.monotonic() - start) * 1000)
     return SweepReport(theorem, n_max, checked, violations[:VIOLATION_LIMIT], elapsed)
 

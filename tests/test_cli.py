@@ -227,6 +227,10 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "params", "--g6", "")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "sweep", "--theorem", "bogus", "--max-n", "3")[0] == 2
+    for jobs in ("0", "-5"):
+        assert run(
+            capsys, "sweep", "--theorem", "theorem4", "--max-n", "3", "--jobs", jobs
+        )[0] == 2
     assert run(capsys, "params", "--named", "p4", "--format", "yaml")[0] == 2
     # two sources at once
     assert run(capsys, "params", "--named", "p4", "--g6", "Ch")[0] == 2

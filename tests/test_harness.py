@@ -1,20 +1,26 @@
 """Enumeration counts, sweep plumbing, ingestion, and report formats."""
 
 import json
+from itertools import combinations
 
 import pytest
 
 from abperfect import (
+    INVARIANT_CHAIN,
     CapacityError,
     Graph6Error,
     canonical_form,
+    complete_graph,
     cycle_alpha_psi,
     enumerate_graphs,
     ingest,
+    is_ab_perfect,
+    path_graph,
     report,
     sweep,
     to_graph6,
 )
+from abperfect import harness, perfectness
 from oracles import isomorphism_class_count
 
 
@@ -85,11 +91,14 @@ def test_sweep_reports_are_deterministic():
     )
 
 
-def test_sweep_with_worker_pool_matches_serial():
-    serial = sweep("theorem1_cs", 4, jobs=1)
-    parallel = sweep("theorem1_cs", 4, jobs=2)
-    assert serial.checked == parallel.checked
-    assert serial.violations == parallel.violations
+def test_sweep_with_worker_pool_matches_serial(monkeypatch):
+    # Two cpus are reported so the pool runs even on a one-cpu machine.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    for theorem in sorted(harness._TARGETS):
+        serial = sweep(theorem, 4, jobs=1)
+        parallel = sweep(theorem, 4, jobs=2)
+        assert serial.checked == parallel.checked, theorem
+        assert serial.violations == parallel.violations, theorem
 
 
 def test_sweep_argument_validation():
@@ -99,19 +108,85 @@ def test_sweep_argument_validation():
         sweep("theorem4", 9)
     with pytest.raises(CapacityError):
         sweep("lemma2", 14)
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep("theorem4", 3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep("lemma2", 3, jobs=jobs)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert harness._worker_count(10_000, 5_000) == 4
+    assert harness._worker_count(3, 5_000) == 3
+    assert harness._worker_count(8, 2) == 2
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert harness._worker_count(8, 100) == 1
 
 
 def test_violations_capped_at_100(monkeypatch):
     # No real theorem can fail, so the cap is exercised with an injected
     # always-violating target.
-    from abperfect import harness
-
-    fake = harness._Target(lambda g: "synthetic violation", harness.CANONICAL_ENUM_CAP)
+    fake = harness._Target(lambda row: "synthetic violation")
     monkeypatch.setitem(harness._TARGETS, "always_fail", fake)
     result = harness.sweep("always_fail", 6)
     assert result.checked == 208
     assert len(result.violations) == 100
     assert not result.passed
+
+
+# ---------------------------------------------------------------------------
+# Invariant table
+# ---------------------------------------------------------------------------
+
+
+def test_table_flags_match_subset_scan_oracle(monkeypatch):
+    pairs = tuple(combinations(INVARIANT_CHAIN, 2))
+    monkeypatch.setitem(harness._TARGETS, "all_pairs", harness._Target(lambda row: None, pairs))
+    classes = 0
+    for g, row in harness._table_rows("all_pairs", 6):
+        classes += 1
+        for a, b in pairs:
+            assert row.flags[a, b] == is_ab_perfect(g, a, b).perfect, (to_graph6(g), a, b)
+    assert len(pairs) == 10 and classes == 208
+
+
+def _off_by_one(monkeypatch, invariant, victim, delta):
+    """Make the table's solver for ``invariant`` wrong by ``delta`` on victim's class."""
+    real = perfectness.INVARIANT_SOLVERS[invariant]
+    key = canonical_form(victim)
+
+    def broken(g, *args, **kwargs):
+        value = real(g, *args, **kwargs)
+        return value + delta if g.n == victim.n and canonical_form(g) == key else value
+
+    monkeypatch.setitem(perfectness.INVARIANT_SOLVERS, invariant, broken)
+
+
+def test_table_sweeps_do_not_assume_the_theorem(monkeypatch):
+    # psi(P4) = 3 read as 2 makes P4 look omega-psi-perfect although it is
+    # not quartet-free and not omega-alpha-perfect.
+    _off_by_one(monkeypatch, "psi", path_graph(4), -1)
+    theorem4 = sweep("theorem4", 5)
+    figure3 = sweep("figure3_inclusions", 5)
+    assert any(
+        detail == "equivalence broken: omega_psi=True chi_psi=True "
+        "quartet_free=False structure=False"
+        for _, detail in theorem4.violations
+    )
+    assert any(
+        detail == "inclusion omega_psi -> omega_alpha violated"
+        for _, detail in figure3.violations
+    )
+
+
+def test_eq1_chain_reports_a_broken_chain(monkeypatch):
+    _off_by_one(monkeypatch, "gamma", complete_graph(3), -1)
+    result = sweep("eq1_chain", 4)
+    assert result.checked == 18
+    assert result.violations == [
+        (to_graph6(complete_graph(3)), "chain violated: omega=3 chi=3 gamma=2 alpha=3 psi=3")
+    ]
 
 
 def test_lemma1_filters_to_hypothesis_class():
