@@ -85,19 +85,22 @@ class FreeReport:
 
 
 def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
-    """Lexicographically smallest vertex subset inducing ``pattern``, if any."""
+    """Lexicographically smallest vertex subset inducing ``pattern``, if any.
+
+    A subset is built and tested for isomorphism only when its induced
+    degree sequence, counted on the host's adjacency rows, is the pattern's.
+    """
     p = pattern.graph
     if p.n > g.n:
         return None
-    target_degrees = sorted(p.adj[v].bit_count() for v in range(p.n))
-    target_edges = p.edge_count()
-    for subset in combinations(range(g.n), p.n):
-        sub = induced_subgraph(g, subset)
-        if sub.edge_count() != target_edges:
+    target_degrees = sorted(row.bit_count() for row in p.adj)
+    adj = g.adj
+    singles = [1 << v for v in range(g.n)]
+    for subset, members in zip(combinations(range(g.n), p.n), combinations(singles, p.n)):
+        mask = sum(members)
+        if sorted((adj[v] & mask).bit_count() for v in subset) != target_degrees:
             continue
-        if sorted(sub.adj[v].bit_count() for v in range(sub.n)) != target_degrees:
-            continue
-        if is_isomorphic(sub, p):
+        if is_isomorphic(induced_subgraph(g, subset), p):
             return frozenset(subset)
     return None
 

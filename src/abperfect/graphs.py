@@ -103,6 +103,18 @@ class Graph:
         return frozenset(range(self.n))
 
 
+def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
+    """A graph the library built itself, skipping the checks of ``Graph.__init__``.
+
+    Only for rows that are symmetric, loop-free and within 0..n-1 by
+    construction; outside input goes through ``Graph`` and its checks.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", rows)
+    return g
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicates collapse, order ignored.
 
@@ -130,7 +142,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     other2 = (1 << n1) - 1
     rows = [g1.adj[v] | other1 for v in range(n1)]
     rows += [g2.adj[v] << n1 | other2 for v in range(n2)]
-    return Graph(n1 + n2, rows)
+    return _trusted(n1 + n2, tuple(rows))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -138,14 +150,13 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     n1, n2 = g1.n, g2.n
     if n1 + n2 > MAX_VERTICES:
         raise CapacityError(f"union of {n1}+{n2} vertices exceeds {MAX_VERTICES}")
-    rows = list(g1.adj) + [g2.adj[v] << n1 for v in range(n2)]
-    return Graph(n1 + n2, rows)
+    return _trusted(n1 + n2, g1.adj + tuple(row << n1 for row in g2.adj))
 
 
 def complement(g: Graph) -> Graph:
     """Edge present iff absent in g; an involution."""
     full = (1 << g.n) - 1
-    return Graph(g.n, (full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
+    return _trusted(g.n, tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n)))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -155,13 +166,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         raise ValueError("induced subgraph on the empty set is undefined")
     if members[0] < 0 or members[-1] >= g.n:
         raise ValueError(f"vertices {members} not within 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(members)}
-    rows = [0] * len(members)
+    rows = []
     for v in members:
-        for u in bits(g.adj[v]):
-            if u in index:
-                rows[index[v]] |= 1 << index[u]
-    return Graph(len(members), rows)
+        row = g.adj[v]
+        rows.append(sum(1 << i for i, u in enumerate(members) if row >> u & 1))
+    return _trusted(len(members), tuple(rows))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -263,77 +272,147 @@ def k44_c7_graph() -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _refine_ranks(g: Graph) -> list[int]:
-    """Iterated degree refinement; rank values are isomorphism-invariant."""
-    ranks = [g.adj[v].bit_count() for v in range(g.n)]
-    for _ in range(g.n):
-        sigs = [
-            (ranks[v], tuple(sorted(ranks[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == ranks:
-            break
-        ranks = new
-    return ranks
+# _MEMBERS[row]: the vertices of an adjacency row, ascending, for every
+# row of a graph on at most 10 vertices, the largest that ``_refine`` sees.
+_MEMBERS: list[tuple[int, ...]] = [()]
+for _v in range(ISOMORPHISM_CAP):
+    _MEMBERS += [members + (_v,) for members in _MEMBERS]
+del _v
+
+
+def _refine(g: Graph) -> list[int]:
+    """Colour refinement: the cell number of each vertex in a stable partition.
+
+    Cells start as degree classes and split by how many neighbours a
+    vertex has in each cell, until no cell splits or every cell is a
+    single vertex.  A vertex's neighbour counts are packed into one int by
+    giving cell c the weight 2**(width*c).  Cell numbers are ranks of
+    sorted isomorphism-invariant signatures, so an isomorphism maps each
+    cell onto the cell of the same number.
+    """
+    n = g.n
+    width = n.bit_length()
+    top = n * width
+    neighbours = [_MEMBERS[row] for row in g.adj]
+    signatures = [len(members) for members in neighbours]
+    cells = 0
+    while True:
+        distinct = sorted(set(signatures))
+        if len(distinct) == cells:
+            return cell
+        cell = list(map({s: i for i, s in enumerate(distinct)}.__getitem__, signatures))
+        if len(distinct) == n:
+            return cell
+        cells = len(distinct)
+        weight_of = [1 << width * c for c in cell].__getitem__
+        signatures = [c << top | sum(map(weight_of, nb)) for c, nb in zip(cell, neighbours)]
+
+
+def _canonical_search(g: Graph, collect: bool) -> tuple[int, list[tuple[int, ...]]]:
+    """Minimum adjacency code and, if ``collect``, automorphisms generating Aut(g).
+
+    The code is the minimum column-major adjacency code over the vertex
+    orderings that list the refinement cells in ascending order, an
+    isomorphism-invariant family.  Twins, vertices whose neighbourhoods
+    agree apart from each other, are swapped by an automorphism that keeps
+    every code, so each class of twins is placed in label order.  When
+    that leaves one ordering (always when the partition is discrete) its
+    code is the answer; otherwise a search with prefix pruning visits the
+    orderings whose columns can still tie the best.  Two visited orderings
+    with equal codes differ by an automorphism; those and the swaps of
+    consecutive twins are collected, and together they generate Aut(g).
+    """
+    n, adj = g.n, g.adj
+    cell = _refine(g)
+    order = sorted(range(n), key=cell.__getitem__)
+    neighbours = [_MEMBERS[row] for row in adj]
+    found: dict[tuple[int, ...], None] = {}
+    # before[v]: the twins of v with smaller labels, all placed before v.
+    before = [0] * n
+    if len(set(cell)) < n:
+        twin_classes: dict[int, int] = {}
+        for v in range(n):
+            for key in (adj[v], adj[v] | 1 << v):
+                twins = twin_classes.get(key, 0)
+                before[v] |= twins
+                twin_classes[key] = twins | 1 << v
+            if before[v] and collect:
+                image = list(range(n))
+                u = before[v].bit_length() - 1
+                image[u], image[v] = v, u
+                found[tuple(image)] = None
+    # A vertex at position i weighs 2**(n-1-i), so the summed weights of
+    # a vertex's placed neighbours compare as its column of the code does.
+    weight = [0] * n
+    get_weight = weight.__getitem__
+    if all(cell[u] != cell[v] or before[v] >> u & 1 for u, v in zip(order, order[1:])):
+        for i, v in enumerate(order):
+            weight[v] = 1 << (n - 1 - i)
+        code = 0
+        for j, v in enumerate(order):
+            code = code << j | sum(map(get_weight, neighbours[v])) >> (n - j)
+        return code, list(found)
+    members: dict[int, list[int]] = {}
+    for v in order:
+        members.setdefault(cell[v], []).append(v)
+    group_at = [members[cell[v]] for v in order]
+    big = 1 << n
+    best = [big] * n
+    placed: list[int] = []
+    first: list[int] | None = None
+
+    def place(depth: int, placed_mask: int) -> None:
+        nonlocal first
+        if depth == n:
+            if first is None:
+                first = placed.copy()
+            elif collect:
+                image = [0] * n
+                for u, v in zip(first, placed):
+                    image[u] = v
+                found[tuple(image)] = None
+            return
+        here = 1 << (n - 1 - depth)
+        for v in group_at[depth]:
+            if placed_mask >> v & 1 or before[v] & ~placed_mask:
+                continue
+            col = sum(map(get_weight, neighbours[v]))
+            if col > best[depth]:
+                continue
+            if col < best[depth]:
+                best[depth] = col
+                best[depth + 1:] = [big] * (n - depth - 1)
+                first = None
+            placed.append(v)
+            weight[v] = here
+            place(depth + 1, placed_mask | 1 << v)
+            weight[v] = 0
+            placed.pop()
+
+    place(0, 0)
+    code = 0
+    for depth in range(1, n):
+        code = code << depth | best[depth] >> (n - depth)
+    return code, list(found)
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte-string: equal for two graphs iff they are isomorphic.
 
-    Minimum column-major adjacency code over all vertex orderings that
-    place refinement classes in ascending rank order (an isomorphism-
-    invariant family, so equality still characterizes isomorphism).
-    Exhaustive within that family with prefix pruning; capped at 8
-    vertices where the worst case (40320 orderings) is still instant.
+    The bytes are an opaque key: the vertex count followed by the minimum
+    adjacency code of ``_canonical_search``.  Capped at 8 vertices, where
+    even a search of all 40320 orderings is quick.
     """
     n = g.n
     if n > CANONICAL_CAP:
         raise CapacityError(f"canonical_form capped at {CANONICAL_CAP} vertices, got {n}")
-    adj = g.adj
-    ranks = _refine_ranks(g)
-    # Class of the vertex occupying each position is forced: classes are
-    # exhausted in ascending rank order.
-    by_rank: dict[int, list[int]] = {}
-    for v in range(n):
-        by_rank.setdefault(ranks[v], []).append(v)
-    groups = [by_rank[r] for r in sorted(by_rank)]
-    group_at = [grp for grp in groups for _ in grp]
-    big = 1 << (n + 1)
-    best = [big] * n
-    placed: list[int] = []
-    placed_mask = 0
+    code, _ = _canonical_search(g, False)
+    return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8 or 1, "big")
 
-    def place(depth: int) -> None:
-        nonlocal placed_mask
-        if depth == n:
-            return
-        for v in group_at[depth]:
-            if placed_mask >> v & 1:
-                continue
-            col = 0
-            row = adj[v]
-            for u in placed:
-                col = col << 1 | (row >> u & 1)
-            if col > best[depth]:
-                continue
-            if col < best[depth]:
-                best[depth] = col
-                for i in range(depth + 1, n):
-                    best[i] = big
-            placed.append(v)
-            placed_mask |= 1 << v
-            place(depth + 1)
-            placed.pop()
-            placed_mask &= ~(1 << v)
 
-    place(0)
-    code = 0
-    for depth in range(1, n):
-        code = code << depth | best[depth]
-    nbits = n * (n - 1) // 2
-    return bytes([n]) + code.to_bytes((nbits + 7) // 8 or 1, "big")
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Distinct non-identity automorphisms generating Aut(g), as vertex images."""
+    return _canonical_search(g, True)[1]
 
 
 def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: list[int]) -> bool:
@@ -377,7 +456,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         )
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return False
-    ranks1, ranks2 = _refine_ranks(g1), _refine_ranks(g2)
+    ranks1, ranks2 = _refine(g1), _refine(g2)
     if sorted(ranks1) != sorted(ranks2):
         return False
     return _mapping_exists(g1, g2, ranks1, ranks2)

@@ -4,7 +4,9 @@ These deliberately avoid the package's search code: partitions are
 enumerated in full, orderings exhaustively, graph6 is re-decoded through
 a string-of-bits route, and isomorphism-class counts come from the cycle
 index of the symmetric group.  Agreement between these and the solvers
-is the backbone of the suite.
+is the backbone of the suite.  The one exception, ``unpruned_levels``,
+keeps the enumeration loop that predates orbit pruning: it uses
+``canonical_form`` as its key and is the reference for the pruning only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import factorial, gcd
 
-from abperfect import Coloring, Graph, is_complete_coloring, is_proper
+from abperfect import Coloring, Graph, canonical_form, is_complete_coloring, is_proper
 
 
 def set_partitions(items: list):
@@ -170,3 +172,34 @@ def all_surjective_colorings(n: int):
         used = set(assignment)
         if used == set(range(1, len(used) + 1)):
             yield Coloring(assignment)
+
+
+def unpruned_levels(n_max: int) -> list[list[Graph]]:
+    """Class representatives on 1..n_max vertices from every one-vertex extension.
+
+    Each representative of level n-1 gets a new vertex with each of the
+    2^(n-1) neighbourhoods in ascending mask order, and the first graph
+    of each canonical form is kept.
+    """
+    levels = [[Graph(1, (0,))]]
+    for n in range(2, n_max + 1):
+        seen: dict[bytes, Graph] = {}
+        for parent in levels[-1]:
+            for mask in range(1 << (n - 1)):
+                rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+                g = Graph(n, rows + [mask])
+                seen.setdefault(canonical_form(g), g)
+        levels.append(list(seen.values()))
+    return levels
+
+
+def brute_automorphism_count(g: Graph) -> int:
+    """|Aut(g)| by trying all n! vertex permutations."""
+    return sum(
+        all(
+            g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+        )
+        for perm in permutations(range(g.n))
+    )

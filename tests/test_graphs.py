@@ -1,6 +1,7 @@
 """Graph construction, combinators, and isomorphism machinery."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,8 @@ from abperfect import (
     path_graph,
     universal_vertices,
 )
-from oracles import brute_min_code
+from abperfect.graphs import _automorphisms
+from oracles import brute_automorphism_count, brute_min_code
 
 
 def small_classes(n_max):
@@ -77,6 +79,8 @@ def test_adjacency_invariants_enforced_by_constructor():
         Graph(2, (1, 0))  # asymmetric
     with pytest.raises(ValueError):
         Graph(1, (1,))  # loop
+    with pytest.raises(ValueError):
+        Graph(2, (0b110, 0b1))  # label 2 out of range
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +290,57 @@ def test_capacity_caps_on_isomorphism_machinery():
         canonical_form(empty_graph(9))
     with pytest.raises(CapacityError):
         is_isomorphic(empty_graph(11), empty_graph(11))
+
+
+def test_automorphisms_preserve_adjacency_and_generate_the_group():
+    # Uncapped, the search returns generators of Aut(g): ties of the search
+    # and swaps of twins.  Their closure must have brute-force |Aut(g)|.
+    for g in small_classes(6):
+        n = g.n
+        found = _automorphisms(g)
+        for sigma in found:
+            assert sorted(sigma) == list(range(n))
+            assert all(
+                g.has_edge(sigma[u], sigma[v]) == g.has_edge(u, v)
+                for u, v in combinations(range(n), 2)
+            )
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            images = {tuple(sigma[v] for v in p) for p in frontier for sigma in found}
+            frontier = list(images - group)
+            group |= images
+        assert len(group) == brute_automorphism_count(g)
+
+
+def test_canonical_form_agrees_with_networkx_on_random_pairs():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(2015)
+    outcomes = []
+    for trial in range(600):
+        p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+        edges = [(u, v) for u, v in combinations(range(8), 2) if rng.random() < p]
+        perm = list(range(8))
+        rng.shuffle(perm)
+        other = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+        if trial % 2 and len(other) >= 2:
+            # One degree-preserving swap ab, cd -> ad, cb: usually another
+            # class with the same degree sequence, sometimes the same class.
+            for _ in range(50):
+                (a, b), (c, d) = rng.sample(sorted(other), 2)
+                ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+                if len({a, b, c, d}) == 4 and ad not in other and cb not in other:
+                    other = other - {(a, b), (c, d)} | {ad, cb}
+                    break
+        g, h = from_edge_list(8, edges), from_edge_list(8, other)
+        expected = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_form(g) == canonical_form(h)) == expected, (g, h)
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 300 and outcomes.count(False) >= 100

@@ -1,9 +1,16 @@
 """Enumeration counts, sweep plumbing, ingestion, and report formats."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import abperfect
 
 from abperfect import (
     INVARIANT_CHAIN,
@@ -21,7 +28,7 @@ from abperfect import (
     to_graph6,
 )
 from abperfect import harness, perfectness
-from oracles import isomorphism_class_count
+from oracles import isomorphism_class_count, unpruned_levels
 
 
 def test_labeled_enumeration_counts():
@@ -56,6 +63,51 @@ def test_enumeration_is_deterministic():
     first = [to_graph6(g) for g in enumerate_graphs(5, "canonical")]
     second = [to_graph6(g) for g in enumerate_graphs(5, "canonical")]
     assert first == second
+
+
+def test_enumeration_stream_is_frozen():
+    # SHA-256 of the graph6 line of every representative for n = 1..7 and
+    # 1..8: any change to the classes, their representatives or their order
+    # shows here.
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for g in enumerate_graphs(n, "canonical"):
+            digest.update((to_graph6(g) + "\n").encode())
+        if n == 7:
+            assert (
+                digest.copy().hexdigest()
+                == "ae0c52541b1bcc8d36d4443ba759f8ca12c72c5a0aaff7a08294304a6dd47486"
+            )
+    assert digest.hexdigest() == "b6da418edc55e66979e9e005e58e1a001a98fbaedfd0d268886ce40742ecf6a9"
+
+
+def test_orbit_pruned_levels_equal_unpruned_reference():
+    for n, level in enumerate(unpruned_levels(7), start=1):
+        assert list(enumerate_graphs(n, "canonical")) == level, n
+
+
+def test_enumeration_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+
+    def invariants(n, edges, degrees):
+        return n, edges, tuple(sorted(degrees))
+
+    atlas: dict = {}
+    for index, h in enumerate(nx.graph_atlas_g()):
+        key = invariants(h.number_of_nodes(), h.number_of_edges(), (d for _, d in h.degree()))
+        atlas.setdefault(key, []).append((index, h))
+    for n, count in zip(range(1, 8), (1, 2, 4, 11, 34, 156, 1044)):
+        representatives = list(enumerate_graphs(n, "canonical"))
+        matched = set()
+        for g in representatives:
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            key = invariants(n, g.edge_count(), (g.degree(v) for v in range(n)))
+            hits = [i for i, a in atlas.get(key, []) if nx.is_isomorphic(h, a)]
+            assert len(hits) == 1, to_graph6(g)
+            matched.add(hits[0])
+        assert len(representatives) == len(matched) == count, n
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +165,21 @@ def test_sweep_argument_validation():
             sweep("theorem4", 3, jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             sweep("lemma2", 3, jobs=jobs)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool needs two cpus")
+def test_pool_in_script_without_main_guard_raises_runtime_error(tmp_path):
+    script = tmp_path / "no_guard.py"
+    script.write_text("from abperfect import sweep\nsweep('theorem4', 3, jobs=2)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(abperfect.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 1
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: sweep(jobs=2) lost its worker processes")
+    assert 'if __name__ == "__main__":' in last
+    assert "BrokenProcessPool" not in result.stderr
 
 
 def test_worker_count_is_clamped(monkeypatch):
