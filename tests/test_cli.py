@@ -2,8 +2,13 @@
 
 import io
 import json
+import os
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from abperfect import SweepReport
+from abperfect import THEOREM_IDS, SweepReport
 from abperfect.cli import main
 
 
@@ -182,11 +187,20 @@ def test_sweep_text_and_jobs(capsys):
 def test_sweep_violations_exit_one(capsys, monkeypatch):
     # No true theorem can fail, so the exit-code mapping is checked with a
     # stubbed report.
-    fake = SweepReport("eq1_chain", 4, 18, [("Ch", "synthetic")], 1)
+    fake = SweepReport("eq1_chain", 4, 18, [("Ch", "synthetic"), ("Bw", 'a "quoted", detail')], 1)
     monkeypatch.setattr("abperfect.cli.sweep", lambda *a, **kw: fake)
-    code, out, _ = run(capsys, "sweep", "--theorem", "eq1_chain", "--max-n", "4")
-    assert code == 1
-    assert "synthetic" in out
+    expected = {
+        "text": "eq1_chain: checked 18 graphs up to n=4: 2 violation(s) [1 ms]\n"
+        '  Ch  synthetic\n  Bw  a "quoted", detail',
+        "json": json.dumps(fake.to_dict()),
+        "csv": 'graph6,detail\nCh,synthetic\nBw,"a ""quoted"", detail"',
+    }
+    for fmt, text in expected.items():
+        code, out, _ = run(
+            capsys, "sweep", "--theorem", "eq1_chain", "--max-n", "4", "--format", fmt
+        )
+        assert code == 1
+        assert out.rstrip("\n") == text
 
 
 def test_sweep_over_cap_exits_two(capsys):
@@ -278,3 +292,86 @@ def test_every_flag_combination_smokes(capsys, tmp_path):
             "--format", fmt,
         )[0] == 0
         assert run(capsys, "cycles", "--max-n", "4", "--format", fmt)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: stdout, stderr and exit code of every subcommand, each
+# in text, json and csv, against ``cli_golden.json``.  Outputs are stored
+# with trailing newlines stripped and sweep timings masked.  After an
+# intended output change, rewrite the file with
+#     PYTHONPATH=src:tests python -c "import test_cli; test_cli.record_golden()"
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# P4, K3, C4, C5, P3+K2, 3K2, K1,3, K1 join (K2 u P3 u K1), K2 join (K2 u K3)
+GOLDEN_GRAPHS = ("Ch", "Bw", "Cl", "Dhc", "DgC", "E`?G", "Cs", "F{eS?", "F^rMW")
+GOLDEN_SOURCES = (("--named", "p4"), ("--file", "{graphs}"), ("--file", "{empty}"))
+
+
+def golden_invocations() -> list[tuple[str, ...]]:
+    calls: list[tuple[str, ...]] = []
+    for fmt in ("text", "json", "csv"):
+        tail = ("--format", fmt)
+        for source in GOLDEN_SOURCES:
+            calls.append(("params", *source, *tail))
+            for a, b in (("omega", "psi"), ("chi", "alpha")):
+                calls.append(("check", "--a", a, "--b", b, *source, *tail))
+            calls.append(("recognize", *source, *tail))
+            for family in ("omega_psi_quartet", "odd_holes_and_antiholes"):
+                calls.append(("forbidden", "--family", family, *source, *tail))
+        for theorem in THEOREM_IDS:
+            calls.append(("sweep", "--theorem", theorem, "--max-n", "5", *tail))
+        calls.append(("cycles", "--max-n", "11", *tail))
+        # Errors: usage, capacity, bad graph6 and a missing file.
+        calls += [
+            ("params", *tail),
+            ("sweep", "--theorem", "theorem4", "--max-n", "3", "--jobs", "0", *tail),
+            ("params", "--named", "e14", *tail),
+            ("check", "--a", "omega", "--b", "psi", "--named", "k11", *tail),
+            ("sweep", "--theorem", "theorem4", "--max-n", "9", *tail),
+            ("cycles", "--max-n", "13", *tail),
+            ("params", "--g6", "*nope", *tail),
+            ("recognize", "--file", "{bad}", *tail),
+            ("forbidden", "--family", "p4_only", "--file", "{missing}", *tail),
+        ]
+    return calls
+
+
+def _golden_paths(directory: Path) -> dict[str, str]:
+    paths = {name: directory / f"{name}.g6" for name in ("graphs", "empty", "bad", "missing")}
+    paths["graphs"].write_text("".join(f"{g6}\n" for g6 in GOLDEN_GRAPHS))
+    paths["empty"].write_text("")
+    paths["bad"].write_text("Ch\n*nope\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _golden_run(argv: tuple[str, ...], paths: dict[str, str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([arg.format(**paths) for arg in argv])
+    stdout = re.sub(r"\[\d+ ms\]", "[* ms]", out.getvalue())
+    stdout = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": "*"', stdout)
+    stderr = err.getvalue().replace(paths["missing"], "{missing}")
+    return {"code": code, "stdout": stdout.rstrip("\n"), "stderr": stderr.rstrip("\n")}
+
+
+def _golden_outputs(directory: Path) -> dict[str, dict]:
+    paths = _golden_paths(directory)
+    return {" ".join(argv): _golden_run(argv, paths) for argv in golden_invocations()}
+
+
+def record_golden() -> None:
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as directory:
+        outputs = _golden_outputs(Path(directory))
+    GOLDEN.write_text(json.dumps(outputs, indent=1, ensure_ascii=False) + "\n")
+
+
+def test_cli_output_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(GOLDEN.read_text())
+    got = _golden_outputs(tmp_path)
+    assert list(got) == list(expected)
+    for key, outcome in got.items():
+        assert outcome == expected[key], key
