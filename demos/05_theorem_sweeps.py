@@ -35,7 +35,14 @@ for theorem, n_max in [
     ("interpolation_grundy", 6),
     ("figure3_inclusions", 5),
 ]:
-    print(sweep(theorem, n_max).to_text())
+    report = sweep(theorem, n_max)
+    status = "pass" if report.passed else f"{len(report.violations)} violation(s)"
+    print(
+        f"{theorem}: checked {report.checked} graphs up to n={n_max}: "
+        f"{status} [{report.elapsed_ms} ms]"
+    )
+    for g6, detail in report.violations:
+        print(f"  {g6}  {detail}")
 
 print()
 print("=" * 64)

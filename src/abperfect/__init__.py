@@ -16,7 +16,6 @@ from .forbidden import (
     Pattern,
     contains_induced,
     family_check,
-    is_family_free,
 )
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, to_graph6
 from .graphs import (
@@ -29,7 +28,6 @@ from .graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
-    diameter,
     disjoint_union,
     empty_graph,
     from_edge_list,
@@ -47,7 +45,6 @@ from .harness import (
     cycle_alpha_psi,
     enumerate_graphs,
     ingest,
-    report,
     sweep,
 )
 from .perfectness import (
@@ -70,7 +67,6 @@ from .solvers import (
     has_coloring,
     profile,
     pseudoachromatic_number,
-    psi_edge_bound_holds,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +100,6 @@ __all__ = [
     "cycle_alpha_psi",
     "cycle_graph",
     "decompose_trivially_perfect",
-    "diameter",
     "disjoint_union",
     "empty_graph",
     "enumerate_graphs",
@@ -117,7 +112,6 @@ __all__ = [
     "is_ab_perfect",
     "is_complete_coloring",
     "is_connected",
-    "is_family_free",
     "is_grundy",
     "is_isomorphic",
     "is_proper",
@@ -128,10 +122,8 @@ __all__ = [
     "path_graph",
     "profile",
     "pseudoachromatic_number",
-    "psi_edge_bound_holds",
     "rebuild",
     "recognize_structure",
-    "report",
     "sweep",
     "to_graph6",
     "universal_vertices",

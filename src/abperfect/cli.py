@@ -9,14 +9,15 @@ human-oriented and may change.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
+from typing import Any, Callable, NamedTuple
 
-from .forbidden import FAMILIES, family_check
-from .graph6 import Graph6Error, parse_graph6
+from .forbidden import FAMILIES, FreeReport, family_check
+from .graph6 import parse_graph6
 from .graphs import (
-    CapacityError,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -26,7 +27,7 @@ from .graphs import (
     k44_c7_graph,
     path_graph,
 )
-from .harness import THEOREM_IDS, cycle_alpha_psi, ingest, report, sweep
+from .harness import THEOREM_IDS, SweepReport, cycle_alpha_psi, ingest, sweep
 from .perfectness import (
     INVARIANT_CHAIN,
     PerfectnessVerdict,
@@ -93,64 +94,81 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="text")
 
 
-def _emit(text: str) -> None:
-    print(text)
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Rendering: one function for every subcommand and format
 # ---------------------------------------------------------------------------
 
 
-def _cmd_params(args) -> int:
-    graphs, single = _load_graphs(args)
-    profiles = [profile(g) for g in graphs]
-    if args.format == "json" and single:
-        _emit(json.dumps(profiles[0].to_dict()))
+class _Kind(NamedTuple):
+    """How one kind of result reads as text lines and as CSV rows."""
+
+    fields: tuple[str, ...]
+    lines: Callable[[Any], list[str]]
+    rows: Callable[[Any], list[dict]]
+
+
+def _show(fmt: str, kind: _Kind, results: list, single: bool = False) -> None:
+    """Print ``results`` in ``fmt``.
+
+    JSON is each result's ``to_dict()`` (cycle rows are dicts already), a
+    list unless ``single``; text is the kind's lines; CSV is a header row,
+    when there are results, and the kind's rows.
+    """
+    if fmt == "json":
+        print(json.dumps(results[0] if single else results, default=lambda r: r.to_dict()))
+    elif fmt == "text":
+        print("\n".join(line for r in results for line in kind.lines(r)))
     else:
-        _emit(report(profiles, args.format))
-    return 0
+        writer = csv.DictWriter(sys.stdout, kind.fields, lineterminator="\n")
+        if results:
+            writer.writeheader()
+        writer.writerows(row for r in results for row in kind.rows(r))
 
 
-def _flat_verdict(v: PerfectnessVerdict) -> dict:
-    row: dict = {"a": v.pair[0], "b": v.pair[1], "perfect": v.perfect}
-    if v.counterexample is None:
-        row.update({"vertices": "", "a_value": "", "b_value": ""})
-    else:
-        vertices, a_val, b_val = v.counterexample
-        row.update(
-            {
-                "vertices": " ".join(str(x) for x in sorted(vertices)),
-                "a_value": a_val,
-                "b_value": b_val,
-            }
-        )
-    return row
+def _members(vertices, sep: str = " ") -> str:
+    return sep.join(str(x) for x in sorted(vertices))
 
 
-def _verdict_text(v: PerfectnessVerdict) -> str:
+def _pairs(row: dict) -> list[str]:
+    return ["  ".join(f"{key}={value}" for key, value in row.items())]
+
+
+def _verdict_lines(v: PerfectnessVerdict) -> list[str]:
     a, b = v.pair
     if v.perfect:
-        return f"{a}-{b}-perfect"
+        return [f"{a}-{b}-perfect"]
     vertices, a_val, b_val = v.counterexample
-    members = ",".join(str(x) for x in sorted(vertices))
-    return (
-        f"not {a}-{b}-perfect: minimal counterexample {{{members}}} "
+    return [
+        f"not {a}-{b}-perfect: minimal counterexample {{{_members(vertices, ',')}}} "
         f"with {a}={a_val}, {b}={b_val}"
-    )
+    ]
 
 
-def _cmd_check(args) -> int:
-    graphs, single = _load_graphs(args)
-    verdicts = [is_ab_perfect(g, args.a, args.b) for g in graphs]
-    if args.format == "json":
-        payload = [v.to_dict() for v in verdicts]
-        _emit(json.dumps(payload[0] if single else payload))
-    elif args.format == "csv":
-        _emit(report([_flat_verdict(v) for v in verdicts], "csv"))
-    else:
-        _emit("\n".join(_verdict_text(v) for v in verdicts))
-    return 0
+def _verdict_rows(v: PerfectnessVerdict) -> list[dict]:
+    vertices, a_val, b_val = v.counterexample or ((), "", "")
+    a, b = v.pair
+    return [
+        {
+            "a": a,
+            "b": b,
+            "perfect": v.perfect,
+            "vertices": _members(vertices),
+            "a_value": a_val,
+            "b_value": b_val,
+        }
+    ]
+
+
+def _tree_lines(tree: StructureTree, depth: int = 0) -> list[str]:
+    label = tree.kind
+    if tree.m is not None:
+        label += f" m={tree.m}"
+    if tree.reason:
+        label += f" ({tree.reason})"
+    lines = ["  " * depth + label]
+    for child in tree.children:
+        lines.extend(_tree_lines(child, depth + 1))
+    return lines
 
 
 def _tree_rows(tree: StructureTree, depth: int = 0) -> list[dict]:
@@ -167,87 +185,82 @@ def _tree_rows(tree: StructureTree, depth: int = 0) -> list[dict]:
     return rows
 
 
-def _tree_text(tree: StructureTree, depth: int = 0) -> list[str]:
-    label = tree.kind
-    if tree.m is not None:
-        label += f" m={tree.m}"
-    if tree.reason:
-        label += f" ({tree.reason})"
-    lines = ["  " * depth + label]
-    for child in tree.children:
-        lines.extend(_tree_text(child, depth + 1))
-    return lines
+def _free_lines(r: FreeReport) -> list[str]:
+    if r.free:
+        return [f"free of ({', '.join(r.family)})"]
+    name, vertices = r.witness
+    return [f"contains {name} on vertices {_members(vertices)}"]
+
+
+def _free_rows(r: FreeReport) -> list[dict]:
+    name, vertices = r.witness or ("", ())
+    return [
+        {
+            "family": " ".join(r.family),
+            "free": r.free,
+            "witness_pattern": name,
+            "witness_vertices": _members(vertices),
+        }
+    ]
+
+
+def _sweep_lines(r: SweepReport) -> list[str]:
+    status = "pass" if r.passed else f"{len(r.violations)} violation(s)"
+    header = (
+        f"{r.theorem}: checked {r.checked} graphs up to n={r.n_max}: "
+        f"{status} [{r.elapsed_ms} ms]"
+    )
+    return [header] + [f"  {g6}  {detail}" for g6, detail in r.violations]
+
+
+_PROFILE = _Kind(INVARIANT_CHAIN, lambda p: _pairs(p.to_dict()), lambda p: [p.to_dict()])
+_VERDICT = _Kind(
+    ("a", "b", "perfect", "vertices", "a_value", "b_value"), _verdict_lines, _verdict_rows
+)
+_TREE = _Kind(("depth", "kind", "m", "reason"), _tree_lines, _tree_rows)
+_FREE = _Kind(("family", "free", "witness_pattern", "witness_vertices"), _free_lines, _free_rows)
+_SWEEP = _Kind(("graph6", "detail"), _sweep_lines, lambda r: r.to_dict()["violations"])
+_CYCLE = _Kind(("n", "alpha", "psi", "predicted_equal", "equal"), _pairs, lambda row: [row])
+
+
+# ---------------------------------------------------------------------------
+# Subcommands
+# ---------------------------------------------------------------------------
+
+
+def _cmd_params(args) -> int:
+    graphs, single = _load_graphs(args)
+    _show(args.format, _PROFILE, [profile(g) for g in graphs], single)
+    return 0
+
+
+def _cmd_check(args) -> int:
+    graphs, single = _load_graphs(args)
+    _show(args.format, _VERDICT, [is_ab_perfect(g, args.a, args.b) for g in graphs], single)
+    return 0
 
 
 def _cmd_recognize(args) -> int:
     graphs, single = _load_graphs(args)
-    trees = [recognize_structure(g) for g in graphs]
-    if args.format == "json":
-        payload = [t.to_dict() for t in trees]
-        _emit(json.dumps(payload[0] if single else payload))
-    elif args.format == "csv":
-        rows = []
-        for t in trees:
-            rows.extend(_tree_rows(t))
-        _emit(report(rows, "csv"))
-    else:
-        lines = []
-        for t in trees:
-            lines.extend(_tree_text(t))
-        _emit("\n".join(lines))
+    _show(args.format, _TREE, [recognize_structure(g) for g in graphs], single)
     return 0
-
-
-def _flat_free_report(r) -> dict:
-    row: dict = {"family": " ".join(r.family), "free": r.free}
-    if r.witness is None:
-        row.update({"witness_pattern": "", "witness_vertices": ""})
-    else:
-        name, vertices = r.witness
-        row.update(
-            {
-                "witness_pattern": name,
-                "witness_vertices": " ".join(str(x) for x in sorted(vertices)),
-            }
-        )
-    return row
 
 
 def _cmd_forbidden(args) -> int:
     graphs, single = _load_graphs(args)
-    reports = [family_check(g, args.family) for g in graphs]
-    if args.format == "json":
-        payload = [r.to_dict() for r in reports]
-        _emit(json.dumps(payload[0] if single else payload))
-    elif args.format == "csv":
-        _emit(report([_flat_free_report(r) for r in reports], "csv"))
-    else:
-        lines = []
-        for r in reports:
-            if r.free:
-                lines.append(f"free of ({', '.join(r.family)})")
-            else:
-                name, vertices = r.witness
-                members = " ".join(str(x) for x in sorted(vertices))
-                lines.append(f"contains {name} on vertices {members}")
-        _emit("\n".join(lines))
+    _show(args.format, _FREE, [family_check(g, args.family) for g in graphs], single)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     result = sweep(args.theorem, args.max_n, jobs=args.jobs)
-    if args.format == "json":
-        _emit(result.to_json())
-    elif args.format == "csv":
-        _emit(result.to_csv().rstrip("\n"))
-    else:
-        _emit(result.to_text())
+    _show(args.format, _SWEEP, [result], single=True)
     return 0 if result.passed else 1
 
 
 def _cmd_cycles(args) -> int:
     rows = cycle_alpha_psi(args.max_n)
-    _emit(report(rows, args.format))
+    _show(args.format, _CYCLE, rows)
     mismatched = any(row["equal"] != row["predicted_equal"] for row in rows)
     return 1 if mismatched else 0
 
@@ -305,10 +318,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CapacityError, Graph6Error, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

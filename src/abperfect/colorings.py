@@ -38,28 +38,9 @@ class Coloring:
     def k(self) -> int:
         return max(self.colors)
 
-    def color_classes(self) -> list[frozenset[int]]:
-        """Vertex sets per color, index 0 holding color 1."""
-        out = [set() for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            out[c - 1].add(v)
-        return [frozenset(s) for s in out]
-
-    def normalized(self) -> "Coloring":
-        """Relabel colors so classes appear in order of their smallest vertex."""
-        relabel: dict[int, int] = {}
-        for c in self.colors:
-            if c not in relabel:
-                relabel[c] = len(relabel) + 1
-        return Coloring(tuple(relabel[c] for c in self.colors))
-
     def serialize(self) -> str:
         """Space-separated colors in vertex order, e.g. "1 2 3 1"."""
         return " ".join(str(c) for c in self.colors)
-
-    @classmethod
-    def parse(cls, text: str) -> "Coloring":
-        return cls(tuple(int(tok) for tok in text.split()))
 
 
 def _check_sizes(g: Graph, c: Coloring) -> None:

@@ -134,7 +134,3 @@ def family_check(g: Graph, family: str) -> FreeReport:
         if hit is not None:
             return FreeReport(members, (name, hit))
     return FreeReport(members, None)
-
-
-def is_family_free(g: Graph, family: str) -> bool:
-    return family_check(g, family).free

@@ -11,7 +11,6 @@ so graphs can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 32
@@ -79,15 +78,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(bits(self.adj[v]))
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def max_degree(self) -> int:
-        return max(self.adj[v].bit_count() for v in range(self.n))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         out = []
@@ -98,9 +88,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(range(self.n))
 
 
 def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
@@ -200,27 +187,6 @@ def is_connected(g: Graph) -> bool:
 def universal_vertices(g: Graph) -> frozenset[int]:
     """All vertices adjacent to every other vertex (degree n-1)."""
     return frozenset(v for v in range(g.n) if g.adj[v].bit_count() == g.n - 1)
-
-
-def diameter(g: Graph) -> int | float:
-    """Max shortest-path distance; math.inf when g is disconnected."""
-    best = 0
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        reached = 1 << v
-        frontier = reached
-        dist = 0
-        while reached != full:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~reached
-            if not frontier:
-                return math.inf
-            reached |= frontier
-            dist += 1
-        best = max(best, dist)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Small-graph enumeration, theorem sweep drivers, and report emission.
+"""Small-graph enumeration, theorem sweep drivers, and corpus ingestion.
 
 Canonical enumeration extends each (n-1)-vertex representative by one
 new vertex with every possible neighborhood and dedups by canonical
@@ -19,9 +19,6 @@ runs and across worker counts.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import time
 from contextlib import nullcontext
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .forbidden import PATTERNS, contains_induced, family_check
 from .graph6 import parse_graph6_lines, to_graph6
@@ -433,26 +430,6 @@ class SweepReport:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["graph6", "detail"])
-        for g6, detail in self.violations:
-            writer.writerow([g6, detail])
-        return buf.getvalue()
-
-    def to_text(self) -> str:
-        status = "pass" if self.passed else f"{len(self.violations)} violation(s)"
-        lines = [
-            f"{self.theorem}: checked {self.checked} graphs up to n={self.n_max}: "
-            f"{status} [{self.elapsed_ms} ms]"
-        ]
-        lines.extend(f"  {g6}  {detail}" for g6, detail in self.violations)
-        return "\n".join(lines)
-
 
 def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
     """Two complete components plus isolated vertices keep omega = psi.
@@ -596,7 +573,7 @@ def cycle_alpha_psi(n_max: int) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Corpus ingestion and generic reports
+# Corpus ingestion
 # ---------------------------------------------------------------------------
 
 
@@ -612,24 +589,3 @@ def ingest(source) -> Iterator[Graph]:
 
         return from_path()
     return parse_graph6_lines(source)
-
-
-def report(results: Iterable, fmt: str = "text") -> str:
-    """Render a list of dict-like results deterministically."""
-    rows = [r.to_dict() if hasattr(r, "to_dict") else dict(r) for r in results]
-    if fmt == "json":
-        return json.dumps(rows)
-    if fmt == "csv":
-        if not rows:
-            return ""
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
-    if fmt == "text":
-        lines = []
-        for row in rows:
-            lines.append("  ".join(f"{key}={value}" for key, value in row.items()))
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}, expected json, csv, or text")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Callable
 
 from .forbidden import family_check
 from .graphs import (
@@ -186,18 +187,28 @@ def _classify_disconnected(g: Graph, comps: list[frozenset[int]]) -> StructureTr
     return _rejected(f"{len(nontrivial)} non-trivial components, at most two allowed")
 
 
-def _recognize_connected(g: Graph) -> StructureTree:
+def _peel(
+    g: Graph, remainder: Callable[[Graph, list[frozenset[int]]], StructureTree]
+) -> StructureTree:
+    """Shape of a connected graph: complete, or its universal vertices as a
+    K_m apex joined over the disconnected rest.
+
+    ``remainder`` shapes the rest from its graph and its components.
+    """
     if _is_complete(g):
         return _complete(g.n)
     apex = universal_vertices(g)
     if not apex:
         return _rejected("connected, not complete, and no universal vertex")
-    rest = sorted(set(range(g.n)) - apex)
-    remainder = induced_subgraph(g, rest)
-    comps = connected_components(remainder)
+    rest = induced_subgraph(g, sorted(set(range(g.n)) - apex))
+    comps = connected_components(rest)
     if len(comps) == 1:
         return _rejected("remainder after peeling universal vertices is connected")
-    return _join(len(apex), _classify_disconnected(remainder, comps))
+    return _join(len(apex), remainder(rest, comps))
+
+
+def _recognize_connected(g: Graph) -> StructureTree:
+    return _peel(g, _classify_disconnected)
 
 
 def recognize_structure(g: Graph) -> StructureTree:
@@ -212,21 +223,8 @@ def recognize_structure(g: Graph) -> StructureTree:
     return _classify_disconnected(g, comps)
 
 
-def _decompose_connected(g: Graph) -> StructureTree:
-    if _is_complete(g):
-        return _complete(g.n)
-    apex = universal_vertices(g)
-    if not apex:
-        return _rejected("connected, not complete, and no universal vertex")
-    rest = sorted(set(range(g.n)) - apex)
-    remainder = induced_subgraph(g, rest)
-    comps = connected_components(remainder)
-    if len(comps) == 1:
-        return _rejected("remainder after peeling universal vertices is connected")
-    children = [
-        _decompose_connected(induced_subgraph(remainder, c)) for c in comps
-    ]
-    return _join(len(apex), _union(children))
+def _decompose_components(g: Graph, comps: list[frozenset[int]]) -> StructureTree:
+    return _union([_peel(induced_subgraph(g, c), _decompose_components) for c in comps])
 
 
 def decompose_trivially_perfect(g: Graph) -> StructureTree:
@@ -238,7 +236,7 @@ def decompose_trivially_perfect(g: Graph) -> StructureTree:
     """
     if not is_connected(g):
         raise ValueError("decompose_trivially_perfect requires a connected graph")
-    return _decompose_connected(g)
+    return _peel(g, _decompose_components)
 
 
 def rebuild(tree: StructureTree) -> Graph:

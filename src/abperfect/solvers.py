@@ -20,13 +20,28 @@ from dataclasses import dataclass
 from .colorings import Coloring
 from .graphs import CapacityError, Graph, bits
 
-CHROMATIC_CAP = 16
-GRUNDY_CAP = 13
-ACHROMATIC_CAP = 13
-PSEUDOACHROMATIC_CAP = 13
-PROFILE_CAP = 13
+# Vertex cap of each capped entry point, by name.
+_CAPS = {
+    "chromatic_number": 16,
+    "grundy_number": 13,
+    "achromatic_number": 13,
+    "pseudoachromatic_number": 13,
+    "profile": 13,
+}
 
-COLORING_MODES = ("complete", "proper_complete", "grundy")
+# has_coloring decides each mode with the search of this solver, under its cap.
+_MODE_SOLVERS = {
+    "complete": "pseudoachromatic_number",
+    "proper_complete": "achromatic_number",
+    "grundy": "grundy_number",
+}
+
+COLORING_MODES = tuple(_MODE_SOLVERS)
+
+
+def _check_cap(name: str, g: Graph) -> None:
+    if g.n > _CAPS[name]:
+        raise CapacityError(f"{name} capped at {_CAPS[name]} vertices, got {g.n}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +138,7 @@ def _proper_k_coloring(g: Graph, k: int) -> list[int] | None:
 
 def chromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Least number of colors in a proper coloring."""
-    if g.n > CHROMATIC_CAP:
-        raise CapacityError(f"chromatic_number capped at {CHROMATIC_CAP} vertices, got {g.n}")
+    _check_cap("chromatic_number", g)
     k = clique_number(g)
     while True:
         found = _proper_k_coloring(g, k)
@@ -196,8 +210,7 @@ def _grundy_reachable(g: Graph) -> dict[int, frozenset[int]]:
 
 def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Largest number of colors in a Grundy coloring."""
-    if g.n > GRUNDY_CAP:
-        raise CapacityError(f"grundy_number capped at {GRUNDY_CAP} vertices, got {g.n}")
+    _check_cap("grundy_number", g)
     memo = _grundy_reachable(g)
     full = (1 << g.n) - 1
     value = max(memo[full])
@@ -285,30 +298,25 @@ def _max_pair_bound(g: Graph) -> int:
     return min(k, g.n)
 
 
-def pseudoachromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
-    """Largest number of colors in a complete coloring (properness not required)."""
-    if g.n > PSEUDOACHROMATIC_CAP:
-        raise CapacityError(
-            f"pseudoachromatic_number capped at {PSEUDOACHROMATIC_CAP} vertices, got {g.n}"
-        )
+def _largest_complete(g: Graph, proper: bool, witness: bool) -> int | tuple[int, Coloring]:
+    """Most colors in a complete coloring, proper or not, by descending k."""
     for k in range(_max_pair_bound(g), 0, -1):
-        found = _complete_partition(g, k, proper=False)
+        found = _complete_partition(g, k, proper)
         if found is not None:
             return (k, Coloring(tuple(found))) if witness else k
-    raise AssertionError("unreachable: k=1 is always a complete coloring")
+    raise AssertionError("unreachable: an optimal proper coloring is complete")
+
+
+def pseudoachromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
+    """Largest number of colors in a complete coloring (properness not required)."""
+    _check_cap("pseudoachromatic_number", g)
+    return _largest_complete(g, False, witness)
 
 
 def achromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Largest number of colors in a proper complete coloring."""
-    if g.n > ACHROMATIC_CAP:
-        raise CapacityError(
-            f"achromatic_number capped at {ACHROMATIC_CAP} vertices, got {g.n}"
-        )
-    for k in range(_max_pair_bound(g), 0, -1):
-        found = _complete_partition(g, k, proper=True)
-        if found is not None:
-            return (k, Coloring(tuple(found))) if witness else k
-    raise AssertionError("unreachable: an optimal proper coloring is complete")
+    _check_cap("achromatic_number", g)
+    return _largest_complete(g, True, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -322,34 +330,15 @@ def has_coloring(g: Graph, k: int, mode: str) -> bool:
         raise ValueError(f"unknown mode {mode!r}, expected one of {COLORING_MODES}")
     if not 1 <= k <= g.n:
         raise ValueError(f"color count must be in 1..{g.n}, got {k}")
+    _check_cap(_MODE_SOLVERS[mode], g)
     if mode == "grundy":
-        if g.n > GRUNDY_CAP:
-            raise CapacityError(f"grundy colorings capped at {GRUNDY_CAP} vertices, got {g.n}")
-        memo = _grundy_reachable(g)
-        return k in memo[(1 << g.n) - 1]
-    if mode == "proper_complete":
-        if g.n > ACHROMATIC_CAP:
-            raise CapacityError(
-                f"proper complete colorings capped at {ACHROMATIC_CAP} vertices, got {g.n}"
-            )
-        return _complete_partition(g, k, proper=True) is not None
-    if g.n > PSEUDOACHROMATIC_CAP:
-        raise CapacityError(
-            f"complete colorings capped at {PSEUDOACHROMATIC_CAP} vertices, got {g.n}"
-        )
-    return _complete_partition(g, k, proper=False) is not None
-
-
-def psi_edge_bound_holds(g: Graph) -> bool:
-    """Post-hoc soundness check: psi*(psi-1)/2 can never exceed the edge count."""
-    psi = pseudoachromatic_number(g)
-    return psi * (psi - 1) // 2 <= g.edge_count()
+        return k in _grundy_reachable(g)[(1 << g.n) - 1]
+    return _complete_partition(g, k, proper=mode == "proper_complete") is not None
 
 
 def profile(g: Graph) -> ParameterProfile:
     """All five invariants; the chain inequality is asserted on construction."""
-    if g.n > PROFILE_CAP:
-        raise CapacityError(f"profile capped at {PROFILE_CAP} vertices, got {g.n}")
+    _check_cap("profile", g)
     return ParameterProfile(
         omega=clique_number(g),
         chi=chromatic_number(g),

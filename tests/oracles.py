@@ -12,7 +12,7 @@ keeps the enumeration loop that predates orbit pruning: it uses
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, inf
 
 from abperfect import Coloring, Graph, canonical_form, is_complete_coloring, is_proper
 
@@ -203,3 +203,26 @@ def brute_automorphism_count(g: Graph) -> int:
         )
         for perm in permutations(range(g.n))
     )
+
+
+
+def diameter(g: Graph) -> int | float:
+    """Max shortest-path distance; math.inf when g is disconnected."""
+    best = 0
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        reached = 1 << v
+        frontier = reached
+        dist = 0
+        while reached != full:
+            nxt = 0
+            for u in range(g.n):
+                if frontier >> u & 1:
+                    nxt |= g.adj[u]
+            frontier = nxt & ~reached
+            if not frontier:
+                return inf
+            reached |= frontier
+            dist += 1
+        best = max(best, dist)
+    return best

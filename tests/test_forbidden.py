@@ -17,7 +17,6 @@ from abperfect import (
     family_check,
     from_edge_list,
     induced_subgraph,
-    is_family_free,
     k44_c7_graph,
     path_graph,
     pseudoachromatic_number,
@@ -113,13 +112,12 @@ def test_unknown_family_rejected():
 
 def test_hereditary_closure_of_family_free_graphs():
     for g in small_classes(6):
-        if not is_family_free(g, "omega_psi_quartet"):
+        if not family_check(g, "omega_psi_quartet").free:
             continue
         for size in range(1, g.n + 1):
             for subset in combinations(range(g.n), size):
-                assert is_family_free(
-                    induced_subgraph(g, subset), "omega_psi_quartet"
-                )
+                h = induced_subgraph(g, subset)
+                assert family_check(h, "omega_psi_quartet").free
 
 
 def test_quartet_members_share_chi_2_psi_3():

@@ -15,7 +15,6 @@ from abperfect import (
     complete_graph,
     connected_components,
     cycle_graph,
-    diameter,
     disjoint_union,
     empty_graph,
     enumerate_graphs,
@@ -28,6 +27,7 @@ from abperfect import (
     universal_vertices,
 )
 from abperfect.graphs import _automorphisms
+from oracles import diameter
 from oracles import brute_automorphism_count, brute_min_code
 
 

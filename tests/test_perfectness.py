@@ -14,10 +14,10 @@ from abperfect import (
     disjoint_union,
     empty_graph,
     enumerate_graphs,
+    family_check,
     induced_subgraph,
     is_ab_perfect,
     is_connected,
-    is_family_free,
     is_isomorphic,
     join,
     path_graph,
@@ -120,14 +120,14 @@ def test_gamma_perfectness_matches_p4_freeness():
     for g in small_classes(5):
         og = is_ab_perfect(g, "omega", "gamma").perfect
         cg = is_ab_perfect(g, "chi", "gamma").perfect
-        assert og == cg == is_family_free(g, "p4_only")
+        assert og == cg == family_check(g, "p4_only").free
 
 
 def test_alpha_perfectness_matches_triple_freeness():
     for g in small_classes(5):
         oa = is_ab_perfect(g, "omega", "alpha").perfect
         ca = is_ab_perfect(g, "chi", "alpha").perfect
-        assert oa == ca == is_family_free(g, "achro_triple")
+        assert oa == ca == family_check(g, "achro_triple").free
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,8 @@ def test_recognize_disconnected_shapes():
 
 def test_recognizer_matches_quartet_freeness_everywhere():
     for g in small_classes(6):
-        assert recognize_structure(g).accepted == is_family_free(
-            g, "omega_psi_quartet"
-        )
+        quartet_free = family_check(g, "omega_psi_quartet").free
+        assert recognize_structure(g).accepted == quartet_free
 
 
 def test_recognizer_rebuild_soundness():
@@ -224,7 +223,7 @@ def test_decompose_examples():
 
 def test_decompose_accepts_exactly_c4_p4_free_and_rebuilds():
     def c4_p4_free(g):
-        return is_family_free(g, "p4_only") and not any(
+        return family_check(g, "p4_only").free and not any(
             is_isomorphic(induced_subgraph(g, s), cycle_graph(4))
             for s in combinations(range(g.n), 4)
         )

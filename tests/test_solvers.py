@@ -22,8 +22,9 @@ from abperfect import (
     path_graph,
     profile,
     pseudoachromatic_number,
-    psi_edge_bound_holds,
+    to_graph6,
 )
+from abperfect.solvers import _CAPS, _MODE_SOLVERS
 from oracles import (
     brute_achromatic,
     brute_chromatic,
@@ -132,8 +133,10 @@ def test_grundy_p4_matches_validator_enumeration():
 
 
 def test_psi_edge_bound():
+    # psi colour classes pairwise share an edge, so psi*(psi-1)/2 <= |E|.
     for g in small_classes(6):
-        assert psi_edge_bound_holds(g)
+        psi = pseudoachromatic_number(g)
+        assert psi * (psi - 1) // 2 <= g.edge_count()
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +144,13 @@ def test_psi_edge_bound():
 # ---------------------------------------------------------------------------
 
 
+def opens_in_vertex_order(c) -> bool:
+    """The colours' first occurrences, in vertex order, read 1..k."""
+    return list(dict.fromkeys(c.colors)) == list(range(1, c.k + 1))
+
+
 def test_witnesses_validate():
-    for g in small_classes(5):
+    for g in [*small_classes(5), k44_c7_graph()]:
         chi, proper_w = chromatic_number(g, witness=True)
         assert proper_w.k == chi and is_proper(g, proper_w)
         gamma, grundy_w = grundy_number(g, witness=True)
@@ -152,6 +160,10 @@ def test_witnesses_validate():
         assert is_proper(g, achro_w) and is_complete_coloring(g, achro_w)
         psi, complete_w = pseudoachromatic_number(g, witness=True)
         assert complete_w.k == psi and is_complete_coloring(g, complete_w)
+        # Canonically ordered searches return normalized witnesses; Grundy
+        # witnesses number their classes by the Grundy order instead.
+        for w in (proper_w, achro_w, complete_w):
+            assert opens_in_vertex_order(w), (to_graph6(g), w)
 
 
 def test_clique_witness():
@@ -203,15 +215,21 @@ def test_has_coloring_argument_validation():
 
 
 def test_capacity_caps_are_errors():
-    with pytest.raises(CapacityError):
-        chromatic_number(empty_graph(17))
-    with pytest.raises(CapacityError):
-        grundy_number(empty_graph(14))
-    with pytest.raises(CapacityError):
-        achromatic_number(empty_graph(14))
-    with pytest.raises(CapacityError):
-        pseudoachromatic_number(empty_graph(14))
-    with pytest.raises(CapacityError):
-        profile(empty_graph(14))
-    with pytest.raises(CapacityError):
-        has_coloring(empty_graph(14), 2, "complete")
+    capped = {
+        "chromatic_number": chromatic_number,
+        "grundy_number": grundy_number,
+        "achromatic_number": achromatic_number,
+        "pseudoachromatic_number": pseudoachromatic_number,
+        "profile": profile,
+    }
+    assert capped.keys() == _CAPS.keys()
+    for name, cap in _CAPS.items():
+        with pytest.raises(CapacityError, match=f"capped at {cap} vertices, got {cap + 1}"):
+            capped[name](empty_graph(cap + 1))
+        capped[name](empty_graph(cap))
+    assert set(_MODE_SOLVERS) == {"complete", "proper_complete", "grundy"}
+    for mode, name in _MODE_SOLVERS.items():
+        cap = _CAPS[name]
+        with pytest.raises(CapacityError, match=f"capped at {cap} vertices, got {cap + 1}"):
+            has_coloring(empty_graph(cap + 1), 1, mode)
+        assert has_coloring(empty_graph(cap), 1, mode)
