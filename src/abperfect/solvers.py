@@ -9,13 +9,19 @@ achromatic and pseudoachromatic numbers
 
 Every cap below is a hard error, never a silent fallback: an approximate
 answer would poison the theorem sweeps built on these solvers.  Search
-order is fixed (vertices ascending, colors ascending, independent sets in
-ascending bit order) so witnesses are deterministic.
+order is fixed so witnesses are deterministic: the chromatic search takes
+vertices ascending, the complete-coloring search takes them by descending
+degree with ties broken by label, both try colors ascending, and the
+Grundy search takes independent sets in ascending bit order.  Complete
+colorings come back in vertex labels with colors numbered by first
+occurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .colorings import Coloring
 from .graphs import CapacityError, Graph, bits
@@ -236,57 +242,89 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
 # ---------------------------------------------------------------------------
 
 
-def _complete_partition(g: Graph, k: int, proper: bool) -> list[int] | None:
+class _Plan(NamedTuple):
+    """One graph prepared for the complete-coloring search.
+
+    Search position i holds vertex ``order[i]``; ``back[i]`` is the mask
+    of earlier positions adjacent to it, and ``rest[i]`` counts the edges
+    with an endpoint at position i or later (``rest[n]`` is 0).
+    """
+
+    order: tuple[int, ...]
+    back: tuple[int, ...]
+    rest: tuple[int, ...]
+
+
+def _plan(g: Graph) -> _Plan:
+    """Branch in degree-descending order, ties broken by label."""
+    n, adj = g.n, g.adj
+    degree = [row.bit_count() for row in adj]
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)  # stable
+    back = []
+    for i, v in enumerate(order):
+        row, mask = adj[v], 0
+        for j in range(i):
+            if row >> order[j] & 1:
+                mask |= 1 << j
+        back.append(mask)
+    rest = list(accumulate([mask.bit_count() for mask in reversed(back)], initial=0))
+    rest.reverse()
+    return _Plan(tuple(order), tuple(back), tuple(rest))
+
+
+def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     """First assignment into exactly k classes forming a complete coloring.
 
-    Classes are canonically ordered (a new color may open only after all
-    smaller ones), which both breaks the k! color symmetry and makes the
-    returned witness the normalized one.  Prunes on: properness, classes
-    that can no longer all open, and uncovered color pairs exceeding the
-    edges that still have an unassigned endpoint.
+    Vertices are placed in plan order (degree descending, ties by label)
+    and colors tried ascending; a new color may open only after all
+    smaller ones, which breaks the k! color symmetry.  Returns 0-based
+    colors by search position.  Prunes on: properness, classes that can no
+    longer all open, and uncovered color pairs exceeding the edges that
+    still have an unassigned endpoint.
     """
-    n, adj = g.n, g.adj
-    m = g.edge_count()
-    if k > n or k * (k - 1) // 2 > m:
+    back, rest = plan.back, plan.rest
+    n = len(back)
+    if k > n or k * (k - 1) // 2 > rest[0]:
         return None
     color = [0] * n
-    class_masks = [0] * (k + 1)
-    total_pairs = k * (k - 1) // 2
+    class_masks = [0] * k  # class_masks[c]: positions colored c
+    seen = [0] * k  # seen[c]: colors already joined to c by an edge
 
-    def pair_bit(a: int, b: int) -> int:
-        return 1 << ((b - 1) * (b - 2) // 2 + (a - 1))
-
-    def assign(v: int, used: int, covered: int, uncovered: int,
-               assigned_mask: int, future_edges: int) -> bool:
-        if v == n:
-            return uncovered == 0 and used == k
-        if k - used > n - v:
+    def place(i: int, used: int, uncovered: int) -> bool:
+        if k - used > n - i:
             return False
-        row = adj[v]
-        nbrs = row & assigned_mask
-        future_after = future_edges - nbrs.bit_count()
-        for c in range(1, min(k, used + 1) + 1):
-            if proper and class_masks[c] & row:
+        if i == n:
+            return True  # every class open, and uncovered <= rest[n] = 0
+        nbrs = back[i]
+        ncol = 0  # colors on the assigned neighbors of position i
+        if nbrs:
+            for d in range(used):
+                if class_masks[d] & nbrs:
+                    ncol |= 1 << d
+        future = rest[i + 1]
+        here = 1 << i
+        for c in range(used + 1 if used < k else k):
+            cbit = 1 << c
+            if proper and ncol & cbit:
                 continue
-            new_pairs = 0
-            for u in bits(nbrs):
-                cu = color[u]
-                if cu != c:
-                    new_pairs |= pair_bit(min(cu, c), max(cu, c))
-            new_pairs &= ~covered
-            uncovered_after = uncovered - new_pairs.bit_count()
-            if uncovered_after > future_after:
+            new = ncol & ~seen[c] & ~cbit
+            left = uncovered - new.bit_count()
+            if left > future:
                 continue
-            color[v] = c
-            class_masks[c] |= 1 << v
-            if assign(v + 1, max(used, c), covered | new_pairs,
-                      uncovered_after, assigned_mask | 1 << v, future_after):
+            class_masks[c] |= here
+            seen[c] |= new
+            for d in bits(new):
+                seen[d] |= cbit
+            if place(i + 1, used + (c == used), left):
+                color[i] = c
                 return True
-            class_masks[c] &= ~(1 << v)
-        color[v] = 0
+            class_masks[c] ^= here
+            seen[c] ^= new
+            for d in bits(new):
+                seen[d] ^= cbit
         return False
 
-    return color if assign(0, 0, 0, total_pairs, 0, m) else None
+    return color if place(0, 0, k * (k - 1) // 2) else None
 
 
 def _max_pair_bound(g: Graph) -> int:
@@ -300,10 +338,26 @@ def _max_pair_bound(g: Graph) -> int:
 
 def _largest_complete(g: Graph, proper: bool, witness: bool) -> int | tuple[int, Coloring]:
     """Most colors in a complete coloring, proper or not, by descending k."""
-    for k in range(_max_pair_bound(g), 0, -1):
-        found = _complete_partition(g, k, proper)
+    top = _max_pair_bound(g)
+    if top <= 2 and not witness:
+        # The bound is met by definition: given an edge, color one endpoint 2
+        # and every other vertex 1 for a complete 2-coloring; two edges form
+        # no cycle, so a proper 2-coloring exists too, complete via any edge.
+        return top
+    plan = _plan(g)
+    for k in range(top, 0, -1):
+        found = _complete_partition(plan, k, proper)
         if found is not None:
-            return (k, Coloring(tuple(found))) if witness else k
+            if not witness:
+                return k
+            # Back to vertex labels, colors renumbered by first occurrence.
+            by_vertex = [0] * g.n
+            for v, c in zip(plan.order, found):
+                by_vertex[v] = c
+            first: dict[int, int] = {}
+            for c in by_vertex:
+                first.setdefault(c, len(first) + 1)
+            return k, Coloring(tuple(first[c] for c in by_vertex))
     raise AssertionError("unreachable: an optimal proper coloring is complete")
 
 
@@ -333,7 +387,7 @@ def has_coloring(g: Graph, k: int, mode: str) -> bool:
     _check_cap(_MODE_SOLVERS[mode], g)
     if mode == "grundy":
         return k in _grundy_reachable(g)[(1 << g.n) - 1]
-    return _complete_partition(g, k, proper=mode == "proper_complete") is not None
+    return _complete_partition(_plan(g), k, proper=mode == "proper_complete") is not None
 
 
 def profile(g: Graph) -> ParameterProfile:

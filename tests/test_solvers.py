@@ -1,5 +1,9 @@
 """Solver values against frozen expected constants and brute-force oracles."""
 
+import hashlib
+import random
+from itertools import combinations, product
+
 import pytest
 
 from abperfect import (
@@ -13,6 +17,7 @@ from abperfect import (
     disjoint_union,
     empty_graph,
     enumerate_graphs,
+    from_edge_list,
     grundy_number,
     has_coloring,
     is_complete_coloring,
@@ -110,6 +115,22 @@ def test_solvers_match_oracles_small():
         assert pseudoachromatic_number(g) == brute_pseudoachromatic(g)
 
 
+def test_complete_solvers_match_oracles_at_6():
+    for g in enumerate_graphs(6, "canonical"):
+        assert achromatic_number(g) == brute_achromatic(g), to_graph6(g)
+        assert pseudoachromatic_number(g) == brute_pseudoachromatic(g), to_graph6(g)
+
+
+def test_alpha_psi_values_are_frozen():
+    # SHA-256 of "alpha psi" per class over enumerate_graphs(1..7), in
+    # enumeration order (pinned by test_enumeration_stream_is_frozen); the
+    # value was recorded before the complete-coloring search was rewritten.
+    digest = hashlib.sha256()
+    for g in small_classes(7):
+        digest.update(f"{achromatic_number(g)} {pseudoachromatic_number(g)}\n".encode())
+    assert digest.hexdigest() == "64268daa055436f73a3295acbcefeb859144a0f4e3645578ce66dae2d9b10124"
+
+
 def test_chain_holds_small():
     for g in small_classes(5):
         p = profile(g)  # construction validates the chain
@@ -164,6 +185,33 @@ def test_witnesses_validate():
         # witnesses number their classes by the Grundy order instead.
         for w in (proper_w, achro_w, complete_w):
             assert opens_in_vertex_order(w), (to_graph6(g), w)
+
+
+def seeded_gnp(seed: int, n: int, p: float):
+    rng = random.Random(seed)
+    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_complete_search_off_label_order():
+    # The complete-coloring search branches in degree order; on these graphs
+    # that differs from label order, so witnesses are mapped back to labels.
+    rng = random.Random(1507)
+    for seed, (n, p) in enumerate(product((9, 10, 11, 12), (0.3, 0.5))):
+        g = seeded_gnp(seed, n, p)
+        degrees = [row.bit_count() for row in g.adj]
+        assert degrees != sorted(degrees, reverse=True)
+        alpha, achro_w = achromatic_number(g, witness=True)
+        assert achro_w.k == alpha
+        assert is_proper(g, achro_w) and is_complete_coloring(g, achro_w)
+        psi, complete_w = pseudoachromatic_number(g, witness=True)
+        assert complete_w.k == psi and is_complete_coloring(g, complete_w)
+        assert opens_in_vertex_order(achro_w) and opens_in_vertex_order(complete_w)
+        assert psi < n and not has_coloring(g, psi + 1, "complete")
+        edges = [(u, v) for u, v in combinations(range(n), 2) if g.adj[u] >> v & 1]
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            h = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+            assert (achromatic_number(h), pseudoachromatic_number(h)) == (alpha, psi)
 
 
 def test_clique_witness():
