@@ -9,12 +9,13 @@ represented by its first child; neighborhoods that an automorphism of
 the parent maps to an earlier one give children that are never first,
 so they are skipped without labelling them.
 
-A sweep builds one invariant table over those classes, bottom-up: each
-class is solved once, its ab-perfect flags come from its own values and
-the flags of its one-vertex deletions one level down, and the theorem is
-a predicate over each row.  Sweeps stop collecting after 100 violations
-and are deterministic: identical reports (elapsed time aside) across
-runs and across worker counts.
+A sweep builds one invariant table over those classes, bottom-up, and
+the theorem is a predicate over each row.  The ab-perfect flags are
+hereditary first: a class's one-vertex deletions are read one level
+down, its enumeration parent first, and a pair is solved on the class
+only while every deletion read so far is perfect for it.  Sweeps stop
+collecting after 100 violations and are deterministic: identical reports
+(elapsed time aside) across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     from_edge_list,
-    induced_subgraph,
     is_connected,
     path_graph,
     universal_vertices,
@@ -54,6 +54,7 @@ from .perfectness import (
     recognize_structure,
 )
 from .solvers import (
+    _grundy_reachable,
     achromatic_number,
     clique_number,
     has_coloring,
@@ -136,23 +137,31 @@ def enumerate_graphs(n: int, mode: str = "canonical") -> Iterator[Graph]:
 # Every proper induced subgraph of G lies inside some G - v, so by the
 # definition of ab-perfectness alone
 #     perfect_ab(G) = [a(G) = b(G)] and perfect_ab(G - v) for every v,
-# with each G - v read from the level below by its canonical form.  No
-# theorem a sweep verifies is assumed.
+# with each G - v read from the level below by its canonical form.  The
+# deletions are read first and a(G), b(G) solved only where they all
+# hold; the flag is the same either way.  No theorem a sweep verifies is
+# assumed.
 # ---------------------------------------------------------------------------
+
+
+Pair = tuple[str, str]
 
 
 class _Row(NamedTuple):
     """What a sweep knows about one isomorphism class.
 
     ``values`` maps each solved invariant to its raw value, so a broken
-    chain reaches the checker instead of raising; ``facts`` holds the
-    target's per-graph results that are not invariants; ``flags`` maps
-    each pair (a, b) to whether the class is ab-perfect.
+    chain reaches the checker instead of raising; for a pair, only the
+    classes whose deletions are all perfect for it are solved, so a pair
+    target's row holds just the invariants some live pair needed.
+    ``facts`` holds the target's per-graph results that are not
+    invariants; ``flags`` maps each pair (a, b) to whether the class is
+    ab-perfect.
     """
 
     values: dict[str, int]
     facts: tuple
-    flags: dict[tuple[str, str], bool]
+    flags: dict[Pair, bool]
 
 
 @dataclass(frozen=True)
@@ -160,58 +169,82 @@ class _Target:
     """One table-backed sweep: what each row holds and the predicate over it.
 
     ``check`` maps a row to a violation detail, or None.  The invariants
-    solved are those named in ``pairs`` and ``invariants``; ``facts``
-    computes the rest of the row from the graph and its solved values.  A
-    graph failing ``hypothesis`` gets no row and is not counted.
-    ``witnesses`` checks graphs outside the table after it, appending to
-    the violations and returning how many graphs it checked.
+    in ``invariants`` are solved on every class, those of a pair in
+    ``pairs`` only where the pair can still hold; ``facts`` computes the
+    rest of the row from the graph and its solved values.  A graph
+    failing ``hypothesis`` gets no row and is not counted.  ``witnesses``
+    checks graphs outside the table after it, appending to the violations
+    and returning how many graphs it checked.
     """
 
     check: Callable[[_Row], str | None]
-    pairs: tuple[tuple[str, str], ...] = ()
+    pairs: tuple[Pair, ...] = ()
     invariants: tuple[str, ...] = ()
     facts: Callable[[Graph, dict[str, int]], tuple] | None = None
     hypothesis: Callable[[Graph], bool] | None = None
     witnesses: Callable[[list[tuple[str, str]]], int] | None = None
 
-    @property
-    def solved(self) -> tuple[str, ...]:
-        wanted = set(self.invariants).union(*self.pairs)
-        return tuple(name for name in INVARIANT_CHAIN if name in wanted)
 
-
-def _solve_row(theorem: str, g: Graph) -> tuple[dict[str, int], tuple, tuple[bytes, ...]] | None:
+def _solve_row(
+    theorem: str, g: Graph, live: tuple[Pair, ...]
+) -> tuple[dict[str, int], tuple] | None:
     """Worker body: everything in g's row that needs only g itself.
 
-    Returns the solved invariants, the facts, and the canonical forms of
-    the one-vertex deletions; those are computed only when some pair has
-    a(G) = b(G), since otherwise every flag is false.  None when g fails
-    the target's hypothesis.
+    Solves the target's own invariants and both sides of each ``live``
+    pair, each invariant once, then the facts.  None when g fails the
+    target's hypothesis.
     """
     target = _TARGETS[theorem]
     if target.hypothesis is not None and not target.hypothesis(g):
         return None
-    values = {name: INVARIANT_SOLVERS[name](g) for name in target.solved}
+    wanted = set(target.invariants).union(*live)
+    values = {name: INVARIANT_SOLVERS[name](g) for name in INVARIANT_CHAIN if name in wanted}
     facts = target.facts(g, values) if target.facts is not None else ()
-    deletions: tuple[bytes, ...] = ()
-    if g.n > 1 and any(values[a] == values[b] for a, b in target.pairs):
-        everyone = range(g.n)
-        deletions = tuple(
-            _deletion_class(induced_subgraph(g, [u for u in everyone if u != v]))
-            for v in everyone
-        )
-    return values, facts, deletions
+    return values, facts
 
 
 @lru_cache(maxsize=1 << 16)
-def _deletion_class(h: Graph) -> bytes:
-    """Canonical form of a one-vertex deletion.
+def _deletion_class(rows: tuple[int, ...]) -> bytes:
+    """Canonical form of the one-vertex deletion with adjacency ``rows``.
 
-    Classes of one level share most of their labelled deletions: the
-    1,252 classes up to 7 vertices have 8,474 deletions but only 1,731
-    distinct ones, so a bounded memo skips most canonical labelling.
+    Classes of one level share most of their labelled deletions:
+    figure3_inclusions up to 7 vertices reads 6,520 deletions but only
+    1,554 distinct ones, so a bounded memo skips most canonical labelling.
     """
-    return canonical_form(h)
+    return canonical_form(_trusted(len(rows), rows))
+
+
+def _live_pairs(
+    g: Graph,
+    pairs: tuple[Pair, ...],
+    parent_flags: dict[tuple[int, ...], dict[Pair, bool]],
+    below: dict[bytes, dict[Pair, bool]],
+) -> tuple[Pair, ...]:
+    """The pairs for which every one-vertex deletion of g is perfect.
+
+    g - (n-1) is g's enumeration parent: masking bit n-1 out of the other
+    rows gives the parent's own rows, so its flags are read first with no
+    labelling.  The other deletions are built by shifting the higher bits
+    of each row down one place, and labelled one at a time only while some
+    pair is still alive.
+    """
+    n = g.n
+    if n == 1 or not pairs:
+        return pairs
+    rows = g.adj
+    top = (1 << (n - 1)) - 1
+    flags = parent_flags[tuple(row & top for row in rows[:-1])]
+    live = tuple(pair for pair in pairs if flags[pair])
+    for v in range(n - 1):
+        if not live:
+            break
+        low = (1 << v) - 1
+        deleted = tuple(
+            (row & low) | (row >> (v + 1) << v) for u, row in enumerate(rows) if u != v
+        )
+        flags = below[_deletion_class(deleted)]
+        live = tuple(pair for pair in live if flags[pair])
+    return live
 
 
 def _table_rows(
@@ -219,26 +252,33 @@ def _table_rows(
 ) -> Iterator[tuple[Graph, _Row | None]]:
     """The row of every class up to n_max vertices, in enumeration order.
 
-    The classes of one level are solved independently, in ``pool`` when
-    given; their flags then read those of the level below, the only rows
-    the table keeps.
+    For each level, the caller's process first reads the flags of every
+    class's deletions from the level below, the only rows the table keeps,
+    and finds the pairs still alive; a pair with an imperfect deletion is
+    False without a solve.  The classes are then solved independently, in
+    ``pool`` when given, for the target's invariants and the live pairs.
     """
     target = _TARGETS[theorem]
     solve = partial(_solve_row, theorem)
-    below: dict[bytes, dict[tuple[str, str], bool]] = {}
+    below: dict[bytes, dict[Pair, bool]] = {}
     for n in range(1, n_max + 1):
         graphs = list(enumerate_graphs(n, "canonical"))
-        solved = map(solve, graphs) if pool is None else pool.map(solve, graphs, chunksize=16)
-        here: dict[bytes, dict[tuple[str, str], bool]] = {}
-        for key, g, result in zip(_canonical_level(n), graphs, solved):
+        parent_flags = {}
+        if n > 1 and target.pairs:
+            parent_flags = {h.adj: below[key] for key, h in _canonical_level(n - 1).items()}
+        lives = [_live_pairs(g, target.pairs, parent_flags, below) for g in graphs]
+        if pool is None:
+            solved = map(solve, graphs, lives)
+        else:
+            solved = pool.map(solve, graphs, lives, chunksize=16)
+        here: dict[bytes, dict[Pair, bool]] = {}
+        for key, g, live, result in zip(_canonical_level(n), graphs, lives, solved):
             if result is None:
                 yield g, None
                 continue
-            values, facts, deletions = result
+            values, facts = result
             flags = {
-                (a, b): values[a] == values[b]
-                and all(below[k][a, b] for k in deletions)
-                for a, b in target.pairs
+                (a, b): (a, b) in live and values[a] == values[b] for a, b in target.pairs
             }
             if flags:
                 here[key] = flags
@@ -313,12 +353,19 @@ def _check_lemma1(row: _Row) -> str | None:
     return None
 
 
-def _interpolation_target(high: str, mode: str, label: str) -> _Target:
-    """A coloring of ``mode`` exists with every count from chi(G) to high(G)."""
+def _interpolation_target(
+    high: str, colorable: Callable[[Graph], Callable[[int], bool]], label: str
+) -> _Target:
+    """A ``label`` coloring exists with every count from chi(G) to high(G).
+
+    ``colorable(g)`` tests one count on g; it is built once per class, so
+    work shared by the counts is done once.
+    """
 
     def facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
+        has_k = colorable(g)
         counts = range(values["chi"], values[high] + 1)
-        return (next((k for k in counts if not has_coloring(g, k, mode)), None),)
+        return (next((k for k in counts if not has_k(k)), None),)
 
     def check(row: _Row) -> str | None:
         (gap,) = row.facts
@@ -391,8 +438,13 @@ _TARGETS: dict[str, _Target] = {
         facts=lambda g, values: (bool(universal_vertices(g)),),
         hypothesis=_lemma1_filter,
     ),
-    "interpolation_hhp": _interpolation_target("alpha", "proper_complete", "proper complete"),
-    "interpolation_grundy": _interpolation_target("gamma", "grundy", "Grundy"),
+    "interpolation_hhp": _interpolation_target(
+        "alpha", lambda g: partial(has_coloring, g, mode="proper_complete"), "proper complete"
+    ),
+    # The Grundy counts of every k come from one reachable set per class.
+    "interpolation_grundy": _interpolation_target(
+        "gamma", lambda g: _grundy_reachable(g)[(1 << g.n) - 1].__contains__, "Grundy"
+    ),
     "figure3_inclusions": _Target(
         _check_figure3_inclusions,
         pairs=tuple(("omega", b) for b in _FIGURE3_ORDER),
@@ -508,11 +560,12 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[s
 def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
     """Run one theorem check over every canonical graph with at most n_max vertices.
 
-    Table-backed theorems solve each isomorphism class once and derive the
-    ab-perfect flags bottom-up (see ``_table_rows``).  ``jobs`` > 1
-    solves each level's classes in a process pool of at most ``jobs``
-    workers; rows are checked in enumeration order, so the report is
-    identical for any count.
+    Table-backed theorems derive the ab-perfect flags bottom-up, reading
+    each class's deletions before solving it (see ``_table_rows``).
+    ``jobs`` > 1 solves each level's classes in a process pool of at most
+    ``jobs`` workers, once this process has read their deletions; rows
+    are checked in enumeration order, so the report is identical for any
+    count.
     """
     start = time.monotonic()
     if jobs < 1:

@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,8 @@ from abperfect import (
     complete_graph,
     cycle_alpha_psi,
     enumerate_graphs,
+    has_coloring,
+    induced_subgraph,
     ingest,
     is_ab_perfect,
     path_graph,
@@ -142,14 +146,26 @@ def test_sweep_reports_are_deterministic():
     )
 
 
+PAIR_SWEEPS = ("theorem4", "theorem1_cs", "theorem2_cs", "figure3_inclusions")
+
+
 def test_sweep_with_worker_pool_matches_serial(monkeypatch):
     # Two cpus are reported so the pool runs even on a one-cpu machine.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    for theorem in sorted(harness._TARGETS):
-        serial = sweep(theorem, 4, jobs=1)
-        parallel = sweep(theorem, 4, jobs=2)
+    # At n = 5 the pair sweeps leave most classes unsolved, so the split
+    # between this process (deletions) and the workers (solves) is used.
+    cases = [(theorem, 4) for theorem in sorted(harness._TARGETS)]
+    cases += [(theorem, 5) for theorem in PAIR_SWEEPS]
+    for theorem, n_max in cases:
+        serial = sweep(theorem, n_max, jobs=1)
+        parallel = sweep(theorem, n_max, jobs=2)
         assert serial.checked == parallel.checked, theorem
         assert serial.violations == parallel.violations, theorem
+    # No sweep reports a violation, so the rows themselves are compared.
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
+        for theorem in PAIR_SWEEPS:
+            pooled = list(harness._table_rows(theorem, 5, pool))
+            assert pooled == list(harness._table_rows(theorem, 5)), theorem
 
 
 def test_sweep_argument_validation():
@@ -215,6 +231,92 @@ def test_table_flags_match_subset_scan_oracle(monkeypatch):
         for a, b in pairs:
             assert row.flags[a, b] == is_ab_perfect(g, a, b).perfect, (to_graph6(g), a, b)
     assert len(pairs) == 10 and classes == 208
+
+
+def test_table_flags_match_every_deletion_read_at_7(monkeypatch):
+    # The subset scan is too slow for every class at n = 7, so there the
+    # flags are compared with the definition evaluated in full: every
+    # invariant solved, every G - v read, no early exit.  A deletion the
+    # table skips first changes a flag at n = 7.
+    pairs = tuple(combinations(INVARIANT_CHAIN, 2))
+    monkeypatch.setitem(harness._TARGETS, "all_pairs", harness._Target(lambda row: None, pairs))
+    reference: dict = {}
+    for g, row in harness._table_rows("all_pairs", 7):
+        values = {name: solve(g) for name, solve in perfectness.INVARIANT_SOLVERS.items()}
+        below = [
+            reference[canonical_form(induced_subgraph(g, set(range(g.n)) - {v}))]
+            for v in range(g.n)
+            if g.n > 1
+        ]
+        flags = {
+            (a, b): values[a] == values[b] and all(h[a, b] for h in below) for a, b in pairs
+        }
+        reference[canonical_form(g)] = flags
+        assert row.flags == flags, to_graph6(g)
+    assert len(reference) == 1252
+
+
+def test_pair_sweeps_solve_only_where_every_deletion_is_perfect(monkeypatch):
+    # Each invariant must be solved once on exactly the classes where some
+    # pair naming it has every G - v perfect by the subset scan: fewer is a
+    # skip the definition does not allow, more is a solve whose flag was
+    # already False.
+    verdicts: dict = {}
+
+    def perfect(h, pair):
+        key = canonical_form(h), pair
+        if key not in verdicts:
+            verdicts[key] = is_ab_perfect(h, *pair).perfect
+        return verdicts[key]
+
+    classes = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    deletions = [
+        [induced_subgraph(g, set(range(g.n)) - {v}) for v in range(g.n)] if g.n > 1 else []
+        for g in classes
+    ]
+    expected: dict = {}
+    for theorem in ("theorem4", "figure3_inclusions"):
+        for g, below in zip(classes, deletions):
+            for pair in harness._TARGETS[theorem].pairs:
+                if all(perfect(h, pair) for h in below):
+                    for name in pair:
+                        expected.setdefault((theorem, name), []).append(canonical_form(g))
+
+    solved: dict = {}
+    for name, solver in list(perfectness.INVARIANT_SOLVERS.items()):
+
+        def counted(g, name=name, solver=solver):
+            solved.setdefault(name, []).append(canonical_form(g))
+            return solver(g)
+
+        monkeypatch.setitem(perfectness.INVARIANT_SOLVERS, name, counted)
+    for theorem in ("theorem4", "figure3_inclusions"):
+        solved.clear()
+        for _ in harness._table_rows(theorem, 6):
+            pass
+        for name in INVARIANT_CHAIN:
+            want = sorted(set(expected.get((theorem, name), [])))
+            assert sorted(solved.get(name, [])) == want, (theorem, name)
+    # 129 of the 208 classes have a deletion imperfect for both psi pairs.
+    assert len(set(expected["theorem4", "psi"])) == 79
+
+
+def test_interpolation_gap_matches_has_coloring_per_count():
+    # The gap over the true range chi..high, and over 1..n, where counts
+    # without a coloring of the mode exist, so a gap is really reported.
+    for theorem, high, mode in (
+        ("interpolation_grundy", "gamma", "grundy"),
+        ("interpolation_hhp", "alpha", "proper_complete"),
+    ):
+        facts = harness._TARGETS[theorem].facts
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                solve = perfectness.INVARIANT_SOLVERS
+                true_range = {"chi": solve["chi"](g), high: solve[high](g)}
+                for values in (true_range, {"chi": 1, high: n}):
+                    counts = range(values["chi"], values[high] + 1)
+                    gap = next((k for k in counts if not has_coloring(g, k, mode)), None)
+                    assert facts(g, values) == (gap,), (theorem, to_graph6(g))
 
 
 def _off_by_one(monkeypatch, invariant, victim, delta):
