@@ -151,12 +151,11 @@ class _Row(NamedTuple):
     """What a sweep knows about one isomorphism class.
 
     ``values`` maps each solved invariant to its raw value, so a broken
-    chain reaches the checker instead of raising; for a pair, only the
-    classes whose deletions are all perfect for it are solved, so a pair
-    target's row holds just the invariants some live pair needed.
-    ``facts`` holds the target's per-graph results that are not
-    invariants; ``flags`` maps each pair (a, b) to whether the class is
-    ab-perfect.
+    chain reaches the checker instead of raising; a pair target's row
+    holds only the invariants of the pairs that were still alive (see
+    ``_live_pairs``).  ``facts`` holds the target's per-graph results that
+    are not invariants; ``flags`` maps each pair (a, b) to whether the
+    class is ab-perfect.
     """
 
     values: dict[str, int]
@@ -252,7 +251,7 @@ def _table_rows(
 ) -> Iterator[tuple[Graph, _Row | None]]:
     """The row of every class up to n_max vertices, in enumeration order.
 
-    For each level, the caller's process first reads the flags of every
+    For each level, the calling process first reads the flags of every
     class's deletions from the level below, the only rows the table keeps,
     and finds the pairs still alive; a pair with an imperfect deletion is
     False without a solve.  The classes are then solved independently, in
