@@ -170,7 +170,8 @@ class _Target:
     ``check`` maps a row to a violation detail, or None.  The invariants
     in ``invariants`` are solved on every class, those of a pair in
     ``pairs`` only where the pair can still hold; ``facts`` computes the
-    rest of the row from the graph and its solved values.  A graph
+    rest of the row from the graph and its solved values, and may add an
+    invariant that its own search yields.  A graph
     failing ``hypothesis`` gets no row and is not counted.  ``witnesses``
     checks graphs outside the table after it, appending to the violations
     and returning how many graphs it checked.
@@ -352,19 +353,41 @@ def _check_lemma1(row: _Row) -> str | None:
     return None
 
 
+def _first_gap(
+    values: dict[str, int], high: str, has_k: Callable[[int], bool]
+) -> tuple[int | None]:
+    """The least count from chi to high with no coloring, or None."""
+    counts = range(values["chi"], values[high] + 1)
+    return (next((k for k in counts if not has_k(k)), None),)
+
+
+def _hhp_facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
+    return _first_gap(values, "alpha", partial(has_coloring, g, mode="proper_complete"))
+
+
+def _grundy_facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
+    """The Grundy gap, from one reachable set per class.
+
+    gamma is by definition the largest count in that set, so where
+    ``values`` lacks gamma it is read from the set, not solved by a second
+    search.
+    """
+    counts = _grundy_reachable(g)[(1 << g.n) - 1]
+    values.setdefault("gamma", max(counts))
+    return _first_gap(values, "gamma", counts.__contains__)
+
+
 def _interpolation_target(
-    high: str, colorable: Callable[[Graph], Callable[[int], bool]], label: str
+    high: str,
+    facts: Callable[[Graph, dict[str, int]], tuple[int | None]],
+    label: str,
+    invariants: tuple[str, ...],
 ) -> _Target:
     """A ``label`` coloring exists with every count from chi(G) to high(G).
 
-    ``colorable(g)`` tests one count on g; it is built once per class, so
-    work shared by the counts is done once.
+    ``facts`` finds the gap and may add high(G) to the row's values, when
+    the search it runs yields it (see ``_grundy_facts``).
     """
-
-    def facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
-        has_k = colorable(g)
-        counts = range(values["chi"], values[high] + 1)
-        return (next((k for k in counts if not has_k(k)), None),)
 
     def check(row: _Row) -> str | None:
         (gap,) = row.facts
@@ -375,7 +398,7 @@ def _interpolation_target(
             f"(chi={row.values['chi']}, {high}={row.values[high]})"
         )
 
-    return _Target(check, invariants=("chi", high), facts=facts)
+    return _Target(check, invariants=invariants, facts=facts)
 
 
 # omega_psi implies omega_alpha implies omega_gamma implies omega_chi
@@ -438,12 +461,9 @@ _TARGETS: dict[str, _Target] = {
         hypothesis=_lemma1_filter,
     ),
     "interpolation_hhp": _interpolation_target(
-        "alpha", lambda g: partial(has_coloring, g, mode="proper_complete"), "proper complete"
+        "alpha", _hhp_facts, "proper complete", ("chi", "alpha")
     ),
-    # The Grundy counts of every k come from one reachable set per class.
-    "interpolation_grundy": _interpolation_target(
-        "gamma", lambda g: _grundy_reachable(g)[(1 << g.n) - 1].__contains__, "Grundy"
-    ),
+    "interpolation_grundy": _interpolation_target("gamma", _grundy_facts, "Grundy", ("chi",)),
     "figure3_inclusions": _Target(
         _check_figure3_inclusions,
         pairs=tuple(("omega", b) for b in _FIGURE3_ORDER),

@@ -4,7 +4,10 @@ A graph is ab-perfect for two invariants a <= b (in the universal chain
 omega, chi, gamma, alpha, psi) when a(H) = b(H) on every induced
 subgraph H.  The checker scans subsets in increasing size then
 lexicographic order, so the first violation it reports is minimal: every
-strictly smaller subset has already passed.
+strictly smaller subset has already passed.  Many subsets induce the same
+relabelled subgraph, so each call memoizes (a(H), b(H)) on H's adjacency
+rows and solves every distinct labelled subgraph once; the memo holds at
+most 2^n - 1 entries and is dropped when the call returns.
 
 The recognizer decides the structural characterization of the
 omega-psi-perfect graphs: a connected one is a complete graph or the
@@ -79,7 +82,11 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     """Check a(H) = b(H) on every induced subgraph of g.
 
     Subsets are scanned by size then lexicographically; the first
-    violating subset is returned, and minimality is automatic.
+    violating subset is returned, and minimality is automatic.  The
+    solvers are functions of the adjacency rows alone, so (a(H), b(H)) is
+    memoized per call on ``H.adj``, which also fixes H's order: each
+    distinct labelled subgraph is solved once, and the memo never holds
+    more than the 2^10 - 1 subsets of the cap.
     """
     if a not in INVARIANT_CHAIN or b not in INVARIANT_CHAIN:
         raise ValueError(f"invariants must be among {INVARIANT_CHAIN}")
@@ -93,11 +100,14 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
         return PerfectnessVerdict((a, b), True, None)
     solve_a = INVARIANT_SOLVERS[a]
     solve_b = INVARIANT_SOLVERS[b]
+    solved: dict[tuple[int, ...], tuple[int, int]] = {}
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):
             h = induced_subgraph(g, subset)
-            a_val = solve_a(h)
-            b_val = solve_b(h)
+            values = solved.get(h.adj)
+            if values is None:
+                values = solved[h.adj] = solve_a(h), solve_b(h)
+            a_val, b_val = values
             if a_val != b_val:
                 return PerfectnessVerdict(
                     (a, b), False, (frozenset(subset), a_val, b_val)

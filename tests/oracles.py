@@ -4,9 +4,12 @@ These deliberately avoid the package's search code: partitions are
 enumerated in full, orderings exhaustively, graph6 is re-decoded through
 a string-of-bits route, and isomorphism-class counts come from the cycle
 index of the symmetric group.  Agreement between these and the solvers
-is the backbone of the suite.  The one exception, ``unpruned_levels``,
-keeps the enumeration loop that predates orbit pruning: it uses
-``canonical_form`` as its key and is the reference for the pruning only.
+is the backbone of the suite.  Two exceptions reuse package code for
+one layer each.  ``unpruned_levels`` keeps the enumeration loop that
+predates orbit pruning: it uses ``canonical_form`` as its key and is the
+reference for the pruning only.  ``reference_scan`` keeps the subset scan
+of ``is_ab_perfect`` without its memo: it calls the package's solvers on
+every subset and is the reference for the memo only.
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import factorial, gcd, inf
 
-from abperfect import Coloring, Graph, canonical_form, is_complete_coloring, is_proper
+from abperfect import (
+    Coloring,
+    Graph,
+    PerfectnessVerdict,
+    canonical_form,
+    induced_subgraph,
+    is_complete_coloring,
+    is_proper,
+)
+from abperfect.perfectness import INVARIANT_SOLVERS
 
 
 def set_partitions(items: list):
@@ -191,6 +203,20 @@ def unpruned_levels(n_max: int) -> list[list[Graph]]:
                 seen.setdefault(canonical_form(g), g)
         levels.append(list(seen.values()))
     return levels
+
+
+def reference_scan(g: Graph, a: str, b: str) -> PerfectnessVerdict:
+    """``is_ab_perfect`` with both solvers called on every subset, no memo."""
+    if a == b:
+        return PerfectnessVerdict((a, b), True, None)
+    for size in range(1, g.n + 1):
+        for subset in combinations(range(g.n), size):
+            h = induced_subgraph(g, subset)
+            a_val = INVARIANT_SOLVERS[a](h)
+            b_val = INVARIANT_SOLVERS[b](h)
+            if a_val != b_val:
+                return PerfectnessVerdict((a, b), False, (frozenset(subset), a_val, b_val))
+    return PerfectnessVerdict((a, b), True, None)
 
 
 def brute_automorphism_count(g: Graph) -> int:

@@ -19,9 +19,11 @@ from abperfect import (
     CapacityError,
     Graph6Error,
     canonical_form,
+    chromatic_number,
     complete_graph,
     cycle_alpha_psi,
     enumerate_graphs,
+    grundy_number,
     has_coloring,
     induced_subgraph,
     ingest,
@@ -30,7 +32,7 @@ from abperfect import (
     sweep,
     to_graph6,
 )
-from abperfect import harness, perfectness
+from abperfect import harness, perfectness, solvers
 from oracles import isomorphism_class_count, unpruned_levels
 
 
@@ -317,6 +319,25 @@ def test_interpolation_gap_matches_has_coloring_per_count():
                     counts = range(values["chi"], values[high] + 1)
                     gap = next((k for k in counts if not has_coloring(g, k, mode)), None)
                     assert facts(g, values) == (gap,), (theorem, to_graph6(g))
+
+
+def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
+    # gamma and every count of the gap are read from one set per class;
+    # solving gamma by grundy_number as well would build a second one.
+    built = []
+    real = solvers._grundy_reachable
+
+    def counted(g):
+        built.append(canonical_form(g))
+        return real(g)
+
+    monkeypatch.setattr(solvers, "_grundy_reachable", counted)
+    monkeypatch.setattr(harness, "_grundy_reachable", counted)
+    report = sweep("interpolation_grundy", 6)
+    assert report.checked == 208 and report.passed
+    assert len(built) == len(set(built)) == 208
+    for g, row in harness._table_rows("interpolation_grundy", 6):
+        assert row.values == {"chi": chromatic_number(g), "gamma": grundy_number(g)}
 
 
 def _off_by_one(monkeypatch, invariant, victim, delta):

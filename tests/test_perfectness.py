@@ -1,6 +1,7 @@
 """ab-perfectness verdicts, the structure recognizer, and the equivalence."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +16,7 @@ from abperfect import (
     empty_graph,
     enumerate_graphs,
     family_check,
+    from_edge_list,
     induced_subgraph,
     is_ab_perfect,
     is_connected,
@@ -23,9 +25,14 @@ from abperfect import (
     path_graph,
     rebuild,
     recognize_structure,
+    to_graph6,
     verify_equivalence,
 )
+from abperfect import perfectness
 from abperfect.perfectness import INVARIANT_SOLVERS
+from oracles import reference_scan
+
+PAIRS = tuple(combinations(INVARIANT_CHAIN, 2))
 
 
 def small_classes(n_max):
@@ -108,6 +115,88 @@ def test_verdict_serialization():
         "perfect": True,
         "counterexample": None,
     }
+
+
+def seeded_gnp(seed, n, p):
+    rng = random.Random(seed)
+    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _shape(rng, n, connected):
+    if connected:
+        if n <= 2 or rng.random() < 0.1:
+            return complete_graph(n)
+        m = rng.randint(1, max(1, n // 3))
+        return join(complete_graph(m), _shape(rng, n - m, False))
+    kinds = ["empty"] + ["two_cliques"] * (n >= 4) + ["one_part"] * (n >= 3)
+    kind = rng.choice(kinds)
+    if kind == "empty":
+        return empty_graph(n)
+    if kind == "two_cliques":
+        a = rng.randint(2, n - 2)
+        b = rng.randint(2, n - a)
+        part = disjoint_union(complete_graph(a), complete_graph(b))
+    else:
+        part = _shape(rng, rng.randint(2, n - 1), True)
+    return disjoint_union(part, empty_graph(n - part.n)) if part.n < n else part
+
+
+def seeded_shape(seed, n):
+    """A join/union shape of the omega-psi-perfect characterization, labels shuffled."""
+    rng = random.Random(seed)
+    g = _shape(rng, n, rng.random() < 0.75)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in combinations(range(n), 2) if g.has_edge(u, v)]
+    return from_edge_list(n, edges)
+
+
+def test_scan_memo_matches_reference_scan():
+    # Same flag, counterexample subset and values as the scan that solves
+    # every subset, for all 10 pairs.  Random graphs mostly fail early; the
+    # shapes are perfect for every pair, so their scans visit every subset.
+    random_graphs = [
+        seeded_gnp(seed, n, p) for seed, (n, p) in enumerate(product((9, 10), (0.2, 0.5)))
+    ]
+    shapes = [seeded_shape(seed, n) for seed, n in ((0, 9), (1, 9), (1, 10), (8, 10))]
+    assert len(PAIRS) == 10
+    for full_scan, graphs in ((False, [*small_classes(6), *random_graphs]), (True, shapes)):
+        for g in graphs:
+            for a, b in PAIRS:
+                verdict = is_ab_perfect(g, a, b)
+                assert verdict == reference_scan(g, a, b), (to_graph6(g), a, b)
+                assert verdict.perfect or not full_scan
+
+
+def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
+    # K2 joined over K3 + K3 + 2 isolated vertices is omega-psi-perfect, so
+    # the scan visits all 1,023 subsets; they induce 86 distinct labelled
+    # subgraphs, and each solver runs once on each of them.
+    g = join(
+        complete_graph(2),
+        disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(2)),
+    )
+    visited = []
+    real_induced = perfectness.induced_subgraph
+
+    def counted_induced(host, vertices):
+        h = real_induced(host, vertices)
+        visited.append(h.adj)
+        return h
+
+    monkeypatch.setattr(perfectness, "induced_subgraph", counted_induced)
+    solved: dict = {}
+    for name in ("omega", "psi"):
+
+        def counted(h, name=name, solver=INVARIANT_SOLVERS[name]):
+            solved.setdefault(name, []).append(h.adj)
+            return solver(h)
+
+        monkeypatch.setitem(INVARIANT_SOLVERS, name, counted)
+    assert is_ab_perfect(g, "omega", "psi").perfect
+    distinct = sorted(set(visited))
+    assert len(visited) == 1023 and len(distinct) == 86
+    assert sorted(solved["omega"]) == sorted(solved["psi"]) == distinct
 
 
 # ---------------------------------------------------------------------------
