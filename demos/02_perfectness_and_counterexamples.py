@@ -14,10 +14,11 @@ from abperfect import (
     contains_induced,
     cycle_graph,
     disjoint_union,
+    family_check,
     is_ab_perfect,
     path_graph,
     PATTERNS,
-    verify_equivalence,
+    recognize_structure,
 )
 
 print("=" * 64)
@@ -56,5 +57,10 @@ for name, g in [
     ("C4", cycle_graph(4)),
     ("K5", complete_graph(5)),
 ]:
-    record = verify_equivalence(g)
-    print(f"{name:8s} -> {record.as_tuple()}   all_equal={record.all_equal}")
+    record = (
+        is_ab_perfect(g, "omega", "psi").perfect,
+        is_ab_perfect(g, "chi", "psi").perfect,
+        family_check(g, "omega_psi_quartet").free,
+        recognize_structure(g).accepted,
+    )
+    print(f"{name:8s} -> {record}   all_equal={len(set(record)) == 1}")

@@ -17,7 +17,7 @@ print("=" * 64)
 print("Canonical enumeration")
 print("=" * 64)
 for n in range(1, 8):
-    count = sum(1 for _ in enumerate_graphs(n, "canonical"))
+    count = sum(1 for _ in enumerate_graphs(n))
     print(f"  isomorphism classes on {n} vertices: {count}")
 
 print()

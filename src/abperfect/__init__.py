@@ -44,19 +44,16 @@ from .harness import (
     SweepReport,
     cycle_alpha_psi,
     enumerate_graphs,
-    ingest,
     sweep,
 )
 from .perfectness import (
     INVARIANT_CHAIN,
-    EquivalenceRecord,
     PerfectnessVerdict,
     StructureTree,
     decompose_trivially_perfect,
     is_ab_perfect,
     rebuild,
     recognize_structure,
-    verify_equivalence,
 )
 from .solvers import (
     ParameterProfile,
@@ -74,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError",
     "Coloring",
-    "EquivalenceRecord",
     "FAMILIES",
     "FreeReport",
     "Graph",
@@ -108,7 +104,6 @@ __all__ = [
     "grundy_number",
     "has_coloring",
     "induced_subgraph",
-    "ingest",
     "is_ab_perfect",
     "is_complete_coloring",
     "is_connected",
@@ -127,5 +122,4 @@ __all__ = [
     "sweep",
     "to_graph6",
     "universal_vertices",
-    "verify_equivalence",
 ]

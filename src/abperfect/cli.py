@@ -16,7 +16,7 @@ import sys
 from typing import Any, Callable, NamedTuple
 
 from .forbidden import FAMILIES, FreeReport, family_check
-from .graph6 import parse_graph6
+from .graph6 import parse_graph6, parse_graph6_lines
 from .graphs import (
     Graph,
     complete_bipartite,
@@ -27,7 +27,7 @@ from .graphs import (
     k44_c7_graph,
     path_graph,
 )
-from .harness import THEOREM_IDS, SweepReport, cycle_alpha_psi, ingest, sweep
+from .harness import THEOREM_IDS, SweepReport, cycle_alpha_psi, sweep
 from .perfectness import (
     INVARIANT_CHAIN,
     PerfectnessVerdict,
@@ -77,8 +77,9 @@ def _load_graphs(args) -> tuple[list[Graph], bool]:
     if args.named is not None:
         return [_named_graph(args.named)], True
     if args.file == "-":
-        return list(ingest(sys.stdin)), False
-    return list(ingest(args.file)), False
+        return list(parse_graph6_lines(sys.stdin)), False
+    with open(args.file, encoding="ascii") as handle:
+        return list(parse_graph6_lines(handle)), False
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:

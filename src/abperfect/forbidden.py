@@ -1,8 +1,9 @@
 """Fixed pattern library and induced-subgraph detection.
 
 Detection is plain subset enumeration plus an isomorphism check against
-the pattern: hosts here have at most 13 vertices and patterns at most 8,
-so C(13,6) ~ 1716 subsets is negligible and the approach is transparent.
+the pattern: hosts here have at most 13 vertices and the fixed patterns at
+most 6, so C(13,6) ~ 1716 subsets is negligible and the approach is
+transparent.  Patterns are capped as the isomorphism test is.
 Witnesses are the lexicographically smallest hitting subset, which makes
 every report deterministic.
 """
@@ -14,6 +15,7 @@ from itertools import combinations
 
 from .graphs import (
     Graph,
+    check_cap,
     complement,
     complete_graph,
     cycle_graph,
@@ -23,19 +25,15 @@ from .graphs import (
     path_graph,
 )
 
-PATTERN_CAP = 8
-
-
 @dataclass(frozen=True)
 class Pattern:
-    """A named forbidden graph of order at most 8."""
+    """A named forbidden graph, within the cap of ``is_isomorphic``."""
 
     name: str
     graph: Graph
 
     def __post_init__(self):
-        if self.graph.n > PATTERN_CAP:
-            raise ValueError(f"pattern {self.name!r} exceeds {PATTERN_CAP} vertices")
+        check_cap("is_isomorphic", self.graph.n)
 
 
 def _p3_plus_k2() -> Graph:
@@ -109,7 +107,11 @@ def _odd_hole_scan(g: Graph) -> tuple[str, frozenset[int]] | None:
     """First induced odd cycle of length >= 5 in g or in its complement.
 
     Scan order: ascending length, hole before antihole at each length.
+    The cap depends on g.n alone and is checked before the scan, so a host
+    over it raises even when it has a short hole: the longest hole tried
+    has g.n vertices, and every pattern is matched by ``is_isomorphic``.
     """
+    check_cap("odd_holes_and_antiholes", g.n)
     co = complement(g)
     for length in range(5, g.n + 1, 2):
         pattern = Pattern("C2k+1", cycle_graph(length))

@@ -15,12 +15,34 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 32
 
-CANONICAL_CAP = 8
-ISOMORPHISM_CAP = 10
-
 
 class CapacityError(ValueError):
     """A size cap was exceeded (caps are hard errors, never silent fallbacks)."""
+
+
+# Vertex cap of every capped operation, by the name its error message uses;
+# ``MAX_VERTICES`` bounds the representation itself.
+CAPS = {
+    "canonical_form": 8,
+    "canonical enumeration": 8,
+    "is_isomorphic": 10,
+    "is_ab_perfect": 10,
+    "odd_holes_and_antiholes": 10,
+    "cycle table": 12,
+    "grundy_number": 13,
+    "achromatic_number": 13,
+    "pseudoachromatic_number": 13,
+    "profile": 13,
+    "lemma2 sweep": 13,
+    "chromatic_number": 16,
+}
+
+
+def check_cap(name: str, n: int) -> None:
+    """Raise ``CapacityError`` unless 1 <= n <= ``CAPS[name]``."""
+    cap = CAPS[name]
+    if not 1 <= n <= cap:
+        raise CapacityError(f"{name} capped at {cap} vertices, got {n}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -241,7 +263,7 @@ def k44_c7_graph() -> Graph:
 # _MEMBERS[row]: the vertices of an adjacency row, ascending, for every
 # row of a graph on at most 10 vertices, the largest that ``_refine`` sees.
 _MEMBERS: list[tuple[int, ...]] = [()]
-for _v in range(ISOMORPHISM_CAP):
+for _v in range(CAPS["is_isomorphic"]):
     _MEMBERS += [members + (_v,) for members in _MEMBERS]
 del _v
 
@@ -370,8 +392,7 @@ def canonical_form(g: Graph) -> bytes:
     even a search of all 40320 orderings is quick.
     """
     n = g.n
-    if n > CANONICAL_CAP:
-        raise CapacityError(f"canonical_form capped at {CANONICAL_CAP} vertices, got {n}")
+    check_cap("canonical_form", n)
     code, _ = _canonical_search(g, False)
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8 or 1, "big")
 
@@ -415,11 +436,7 @@ def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: list[int]) 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test via invariant screening plus backtracking."""
-    if max(g1.n, g2.n) > ISOMORPHISM_CAP:
-        raise CapacityError(
-            f"is_isomorphic capped at {ISOMORPHISM_CAP} vertices, "
-            f"got {g1.n} and {g2.n}"
-        )
+    check_cap("is_isomorphic", max(g1.n, g2.n))
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return False
     ranks1, ranks2 = _refine(g1), _refine(g2)

@@ -1,4 +1,4 @@
-"""Small-graph enumeration, theorem sweep drivers, and corpus ingestion.
+"""Small-graph enumeration and theorem sweep drivers.
 
 Canonical enumeration extends each (n-1)-vertex representative by one
 new vertex with every possible neighborhood and dedups by canonical
@@ -25,24 +25,22 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .forbidden import PATTERNS, contains_induced, family_check
-from .graph6 import parse_graph6_lines, to_graph6
+from .graph6 import to_graph6
 from .graphs import (
+    CAPS,
     CapacityError,
     Graph,
     _automorphisms,
     _trusted,
-    bits,
     canonical_form,
+    check_cap,
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    from_edge_list,
     is_connected,
     path_graph,
     universal_vertices,
@@ -64,8 +62,6 @@ from .solvers import (
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
-LABELED_CAP = 7
-CANONICAL_ENUM_CAP = 8
 VIOLATION_LIMIT = 100
 
 
@@ -113,22 +109,10 @@ def _canonical_level(n: int) -> dict[bytes, Graph]:
     return seen
 
 
-def enumerate_graphs(n: int, mode: str = "canonical") -> Iterator[Graph]:
-    """Stream all graphs on n vertices, labeled or one per isomorphism class."""
-    if mode == "labeled":
-        if not 1 <= n <= LABELED_CAP:
-            raise CapacityError(f"labeled enumeration capped at {LABELED_CAP} vertices, got {n}")
-        pairs = list(combinations(range(n), 2))
-        for code in range(1 << len(pairs)):
-            yield from_edge_list(n, [pairs[i] for i in bits(code)])
-    elif mode == "canonical":
-        if not 1 <= n <= CANONICAL_ENUM_CAP:
-            raise CapacityError(
-                f"canonical enumeration capped at {CANONICAL_ENUM_CAP} vertices, got {n}"
-            )
-        yield from _canonical_level(n).values()
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected 'labeled' or 'canonical'")
+def enumerate_graphs(n: int) -> Iterator[Graph]:
+    """Stream one graph per isomorphism class on n vertices."""
+    check_cap("canonical enumeration", n)
+    yield from _canonical_level(n).values()
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +246,7 @@ def _table_rows(
     solve = partial(_solve_row, theorem)
     below: dict[bytes, dict[Pair, bool]] = {}
     for n in range(1, n_max + 1):
-        graphs = list(enumerate_graphs(n, "canonical"))
+        graphs = list(enumerate_graphs(n))
         parent_flags = {}
         if n > 1 and target.pairs:
             parent_flags = {h.adj: below[key] for key, h in _canonical_level(n - 1).items()}
@@ -471,8 +455,6 @@ _TARGETS: dict[str, _Target] = {
     ),
 }
 
-LEMMA2_CAP = 13
-
 THEOREM_IDS = tuple(sorted(_TARGETS)) + ("lemma2",)
 
 
@@ -590,14 +572,12 @@ def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if theorem == "lemma2":
-        if not 1 <= n_max <= LEMMA2_CAP:
-            raise CapacityError(f"lemma2 sweep capped at total order {LEMMA2_CAP}")
+        check_cap("lemma2 sweep", n_max)
         checked, violations = _sweep_lemma2(n_max)
     elif theorem in _TARGETS:
-        if not 1 <= n_max <= CANONICAL_ENUM_CAP:
-            raise CapacityError(
-                f"{theorem} sweep capped at n={CANONICAL_ENUM_CAP}, got {n_max}"
-            )
+        cap = CAPS["canonical enumeration"]
+        if not 1 <= n_max <= cap:
+            raise CapacityError(f"{theorem} sweep capped at n={cap}, got {n_max}")
         checked, violations = _sweep_table(theorem, n_max, jobs)
     else:
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREM_IDS}")
@@ -608,9 +588,6 @@ def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
 # ---------------------------------------------------------------------------
 # Cycle table
 # ---------------------------------------------------------------------------
-
-CYCLE_CAP = 12
-
 
 def _alpha_psi_split_predicted(n: int) -> bool:
     """n values of the form 2x^2 + x + 1 (x >= 1) are exactly where alpha < psi."""
@@ -624,8 +601,9 @@ def _alpha_psi_split_predicted(n: int) -> bool:
 
 def cycle_alpha_psi(n_max: int) -> list[dict]:
     """Achromatic vs pseudoachromatic numbers of cycles up to n_max vertices."""
-    if not 3 <= n_max <= CYCLE_CAP:
-        raise CapacityError(f"cycle table covers n in 3..{CYCLE_CAP}, got {n_max}")
+    cap = CAPS["cycle table"]
+    if not 3 <= n_max <= cap:
+        raise CapacityError(f"cycle table covers n in 3..{cap}, got {n_max}")
     rows = []
     for n in range(3, n_max + 1):
         g = cycle_graph(n)
@@ -642,22 +620,3 @@ def cycle_alpha_psi(n_max: int) -> list[dict]:
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Corpus ingestion
-# ---------------------------------------------------------------------------
-
-
-def ingest(source) -> Iterator[Graph]:
-    """Stream graphs from a path, file object, or iterable of graph6 lines.
-
-    Order-preserving; an unparsable line raises with its line number.
-    """
-    if isinstance(source, (str, Path)):
-        def from_path() -> Iterator[Graph]:
-            with open(source, "r", encoding="ascii") as handle:
-                yield from parse_graph6_lines(handle)
-
-        return from_path()
-    return parse_graph6_lines(source)

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
 
-from .forbidden import family_check
 from .graphs import (
-    CapacityError,
     Graph,
+    check_cap,
     complete_graph,
     connected_components,
     disjoint_union,
@@ -42,8 +41,6 @@ from .solvers import (
     grundy_number,
     pseudoachromatic_number,
 )
-
-AB_PERFECT_CAP = 10
 
 INVARIANT_CHAIN = ("omega", "chi", "gamma", "alpha", "psi")
 
@@ -92,10 +89,7 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
         raise ValueError(f"invariants must be among {INVARIANT_CHAIN}")
     if INVARIANT_CHAIN.index(a) > INVARIANT_CHAIN.index(b):
         raise ValueError(f"{a!r} must precede or equal {b!r} in the invariant chain")
-    if g.n > AB_PERFECT_CAP:
-        raise CapacityError(
-            f"is_ab_perfect capped at {AB_PERFECT_CAP} vertices, got {g.n}"
-        )
+    check_cap("is_ab_perfect", g.n)
     if a == b:
         return PerfectnessVerdict((a, b), True, None)
     solve_a = INVARIANT_SOLVERS[a]
@@ -266,54 +260,3 @@ def rebuild(tree: StructureTree) -> Graph:
     if tree.kind == "join":
         return join(complete_graph(tree.m), rebuild(tree.children[0]))
     raise ValueError(f"cannot rebuild from node kind {tree.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Four-way equivalence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceRecord:
-    """The four independently computed predicates of the main equivalence."""
-
-    omega_psi_perfect: bool
-    chi_psi_perfect: bool
-    quartet_free: bool
-    structure_accepted: bool
-
-    @property
-    def all_equal(self) -> bool:
-        return (
-            self.omega_psi_perfect
-            == self.chi_psi_perfect
-            == self.quartet_free
-            == self.structure_accepted
-        )
-
-    def as_tuple(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            self.omega_psi_perfect,
-            self.chi_psi_perfect,
-            self.quartet_free,
-            self.structure_accepted,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "omega_psi_perfect": self.omega_psi_perfect,
-            "chi_psi_perfect": self.chi_psi_perfect,
-            "quartet_free": self.quartet_free,
-            "structure_accepted": self.structure_accepted,
-            "all_equal": self.all_equal,
-        }
-
-
-def verify_equivalence(g: Graph) -> EquivalenceRecord:
-    """Evaluate all four characterizations independently on one graph."""
-    return EquivalenceRecord(
-        omega_psi_perfect=is_ab_perfect(g, "omega", "psi").perfect,
-        chi_psi_perfect=is_ab_perfect(g, "chi", "psi").perfect,
-        quartet_free=family_check(g, "omega_psi_quartet").free,
-        structure_accepted=recognize_structure(g).accepted,
-    )

@@ -7,9 +7,9 @@ achromatic and pseudoachromatic numbers
                    -- backtracking over canonically-ordered set partitions
                       with an uncovered-pairs vs. remaining-edges prune
 
-Every cap below is a hard error, never a silent fallback: an approximate
-answer would poison the theorem sweeps built on these solvers.  Search
-order is fixed so witnesses are deterministic: the chromatic search takes
+Every cap in ``graphs.CAPS`` is a hard error, never a silent fallback: an
+approximate answer would poison the theorem sweeps built on these solvers.
+Search order is fixed so witnesses are deterministic: the chromatic search takes
 vertices ascending, the complete-coloring search takes them by descending
 degree with ties broken by label, both try colors ascending, and the
 Grundy search takes independent sets in ascending bit order.  Complete
@@ -24,16 +24,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .colorings import Coloring
-from .graphs import CapacityError, Graph, bits
-
-# Vertex cap of each capped entry point, by name.
-_CAPS = {
-    "chromatic_number": 16,
-    "grundy_number": 13,
-    "achromatic_number": 13,
-    "pseudoachromatic_number": 13,
-    "profile": 13,
-}
+from .graphs import Graph, bits, check_cap
 
 # has_coloring decides each mode with the search of this solver, under its cap.
 _MODE_SOLVERS = {
@@ -43,11 +34,6 @@ _MODE_SOLVERS = {
 }
 
 COLORING_MODES = tuple(_MODE_SOLVERS)
-
-
-def _check_cap(name: str, g: Graph) -> None:
-    if g.n > _CAPS[name]:
-        raise CapacityError(f"{name} capped at {_CAPS[name]} vertices, got {g.n}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +130,7 @@ def _proper_k_coloring(g: Graph, k: int) -> list[int] | None:
 
 def chromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Least number of colors in a proper coloring."""
-    _check_cap("chromatic_number", g)
+    check_cap("chromatic_number", g.n)
     k = clique_number(g)
     while True:
         found = _proper_k_coloring(g, k)
@@ -216,7 +202,7 @@ def _grundy_reachable(g: Graph) -> dict[int, frozenset[int]]:
 
 def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Largest number of colors in a Grundy coloring."""
-    _check_cap("grundy_number", g)
+    check_cap("grundy_number", g.n)
     memo = _grundy_reachable(g)
     full = (1 << g.n) - 1
     value = max(memo[full])
@@ -363,13 +349,13 @@ def _largest_complete(g: Graph, proper: bool, witness: bool) -> int | tuple[int,
 
 def pseudoachromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Largest number of colors in a complete coloring (properness not required)."""
-    _check_cap("pseudoachromatic_number", g)
+    check_cap("pseudoachromatic_number", g.n)
     return _largest_complete(g, False, witness)
 
 
 def achromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]:
     """Largest number of colors in a proper complete coloring."""
-    _check_cap("achromatic_number", g)
+    check_cap("achromatic_number", g.n)
     return _largest_complete(g, True, witness)
 
 
@@ -384,7 +370,7 @@ def has_coloring(g: Graph, k: int, mode: str) -> bool:
         raise ValueError(f"unknown mode {mode!r}, expected one of {COLORING_MODES}")
     if not 1 <= k <= g.n:
         raise ValueError(f"color count must be in 1..{g.n}, got {k}")
-    _check_cap(_MODE_SOLVERS[mode], g)
+    check_cap(_MODE_SOLVERS[mode], g.n)
     if mode == "grundy":
         return k in _grundy_reachable(g)[(1 << g.n) - 1]
     return _complete_partition(_plan(g), k, proper=mode == "proper_complete") is not None
@@ -392,7 +378,7 @@ def has_coloring(g: Graph, k: int, mode: str) -> bool:
 
 def profile(g: Graph) -> ParameterProfile:
     """All five invariants; the chain inequality is asserted on construction."""
-    _check_cap("profile", g)
+    check_cap("profile", g.n)
     return ParameterProfile(
         omega=clique_number(g),
         chi=chromatic_number(g),

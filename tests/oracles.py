@@ -22,6 +22,7 @@ from abperfect import (
     Graph,
     PerfectnessVerdict,
     canonical_form,
+    from_edge_list,
     induced_subgraph,
     is_complete_coloring,
     is_proper,
@@ -114,6 +115,16 @@ def ref_decode_graph6(line: str) -> tuple[int, set[tuple[int, int]]]:
     return n, edges
 
 
+def labeled_graphs(n: int):
+    """Every labelled graph on vertices 0..n-1, by ascending edge code.
+
+    Bit i of the code is the i-th pair of ``combinations(range(n), 2)``.
+    """
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield from_edge_list(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+
+
 def brute_min_code(g: Graph) -> tuple[int, ...]:
     """Minimum column code over all n! orderings (canonical-form oracle)."""
     best: tuple[int, ...] | None = None
@@ -140,6 +151,36 @@ def brute_contains_induced(g: Graph, p: Graph) -> frozenset[int] | None:
                 for j in range(i + 1, p.n)
             ):
                 return frozenset(subset)
+    return None
+
+
+def _induces_cycle(subset: tuple[int, ...], adjacent) -> bool:
+    """Whether ``adjacent`` restricted to ``subset`` is connected and 2-regular."""
+    nbrs = {v: [u for u in subset if u != v and adjacent(u, v)] for v in subset}
+    if any(len(around) != 2 for around in nbrs.values()):
+        return False
+    seen, stack = {subset[0]}, [subset[0]]
+    while stack:
+        for u in nbrs[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(subset)
+
+
+def brute_odd_hole(g: Graph) -> tuple[str, frozenset[int]] | None:
+    """First odd hole or antihole: the shortest, a hole before an antihole,
+    then the lexicographically smallest odd subset of 5 or more vertices
+    inducing a connected 2-regular graph in g or in its complement."""
+    sides = (
+        ("C2k+1", g.has_edge),
+        ("co-C2k+1", lambda u, v: not g.has_edge(u, v)),
+    )
+    for length in range(5, g.n + 1, 2):
+        for name, adjacent in sides:
+            for subset in combinations(range(g.n), length):
+                if _induces_cycle(subset, adjacent):
+                    return name, frozenset(subset)
     return None
 
 

@@ -152,7 +152,7 @@ def test_criterion_10_solver_oracle_equivalence():
     ok = True
     checked = 0
     for n in range(1, 7):
-        for g in enumerate_graphs(n, "canonical"):
+        for g in enumerate_graphs(n):
             checked += 1
             ok = ok and grundy_number(g) == brute_grundy(g)
             ok = ok and achromatic_number(g) == brute_achromatic(g)

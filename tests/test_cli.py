@@ -256,6 +256,26 @@ def test_capacity_exits_two_naming_cap(capsys):
     assert "capped at 13" in err
 
 
+def test_odd_hole_cap_exits_two_naming_family(capsys):
+    argv = ("forbidden", "--family", "odd_holes_and_antiholes", "--named")
+    code, out, err = run(capsys, *argv, "k11")
+    assert (code, out) == (2, "")
+    assert err == "error: odd_holes_and_antiholes capped at 10 vertices, got 11\n"
+    assert run(capsys, *argv, "k9") == (0, "free of (C2k+1, co-C2k+1)\n", "")
+
+
+def test_file_with_bad_line_exits_two_naming_it(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text("Ch\n\nnot graph6 at all\nCh\n")
+    code, out, err = run(capsys, "params", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: ")
+    monkeypatch.setattr("sys.stdin", io.StringIO("Ch\n*nope\n"))
+    code, out, err = run(capsys, "recognize", "--file", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: ")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "params", "--file", "/no/such/file.g6")
     assert code == 2

@@ -65,7 +65,7 @@ def test_size_mismatch_rejected():
 def test_grundy_implies_proper_and_complete_everywhere():
     for n in range(1, 6):
         colorings = list(all_surjective_colorings(n))
-        for g in enumerate_graphs(n, "canonical"):
+        for g in enumerate_graphs(n):
             for c in colorings:
                 if is_grundy(g, c):
                     assert is_proper(g, c)
@@ -74,7 +74,7 @@ def test_grundy_implies_proper_and_complete_everywhere():
 
 def test_proper_and_complete_are_color_permutation_invariant():
     for n in range(2, 5):
-        for g in enumerate_graphs(n, "canonical"):
+        for g in enumerate_graphs(n):
             for c in all_surjective_colorings(n):
                 base = (is_proper(g, c), is_complete_coloring(g, c))
                 for perm in permutations(range(1, c.k + 1)):

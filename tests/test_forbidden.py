@@ -8,11 +8,15 @@ import pytest
 from abperfect import (
     FAMILIES,
     PATTERNS,
+    CapacityError,
+    Pattern,
     chromatic_number,
+    complement,
     complete_graph,
     contains_induced,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     enumerate_graphs,
     family_check,
     from_edge_list,
@@ -20,13 +24,14 @@ from abperfect import (
     k44_c7_graph,
     path_graph,
     pseudoachromatic_number,
+    to_graph6,
 )
-from oracles import brute_contains_induced
+from oracles import brute_contains_induced, brute_odd_hole
 
 
 def small_classes(n_max):
     for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n, "canonical")
+        yield from enumerate_graphs(n)
 
 
 def test_detection_examples():
@@ -58,7 +63,7 @@ def test_detection_matches_oracle_to_6():
 
 def test_detection_matches_oracle_sampled_7():
     rng = random.Random(48151623)
-    pool = list(enumerate_graphs(7, "canonical"))
+    pool = list(enumerate_graphs(7))
     for g in rng.sample(pool, 120):
         for pattern in PATTERNS.values():
             assert contains_induced(g, pattern) == brute_contains_induced(
@@ -68,7 +73,7 @@ def test_detection_matches_oracle_sampled_7():
 
 @pytest.mark.slow
 def test_detection_matches_oracle_every_class_at_7():
-    for g in enumerate_graphs(7, "canonical"):
+    for g in enumerate_graphs(7):
         for pattern in PATTERNS.values():
             assert contains_induced(g, pattern) == brute_contains_induced(
                 g, pattern.graph
@@ -103,6 +108,44 @@ def test_antihole_detection():
     # The only odd hole reachable lives in the complement (the 7-cycle).
     assert report.witness == ("co-C2k+1", frozenset(range(7)))
     assert family_check(complete_graph(4), "odd_holes_and_antiholes").free
+
+
+def test_odd_holes_match_oracle_on_9_and_10_vertices():
+    rng = random.Random(31415)
+    hosts = [cycle_graph(9), complement(cycle_graph(9)), complete_graph(9)]
+    for n in (9, 10):
+        for p in (0.15, 0.25, 0.5, 0.75, 0.85):
+            for _ in range(6):
+                pairs = combinations(range(n), 2)
+                hosts.append(from_edge_list(n, [e for e in pairs if rng.random() < p]))
+        for _ in range(6):
+            # Bipartite, so free: the scan runs to the longest length.
+            side = [rng.randrange(2) for _ in range(n)]
+            pairs = combinations(range(n), 2)
+            hosts.append(
+                from_edge_list(
+                    n, [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < 0.5]
+                )
+            )
+    shapes = set()
+    for g in hosts:
+        witness = family_check(g, "odd_holes_and_antiholes").witness
+        assert witness == brute_odd_hole(g), to_graph6(g)
+        shapes.add(witness and (witness[0], len(witness[1])))
+    assert {None, ("C2k+1", 9), ("co-C2k+1", 9), ("C2k+1", 7)} <= shapes
+
+
+def test_odd_hole_cap_depends_on_order_alone():
+    # An 11-vertex host raises even when it has a short hole.
+    host = disjoint_union(cycle_graph(5), empty_graph(6))
+    with pytest.raises(
+        CapacityError, match="odd_holes_and_antiholes capped at 10 vertices, got 11"
+    ):
+        family_check(host, "odd_holes_and_antiholes")
+    assert family_check(complete_graph(10), "odd_holes_and_antiholes").free
+    assert Pattern("C9", cycle_graph(9)).graph.n == 9
+    with pytest.raises(CapacityError, match="is_isomorphic capped at 10 vertices, got 11"):
+        Pattern("C11", cycle_graph(11))
 
 
 def test_unknown_family_rejected():

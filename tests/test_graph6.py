@@ -14,7 +14,7 @@ from abperfect import (
     parse_graph6_lines,
     to_graph6,
 )
-from oracles import isomorphism_class_count, ref_decode_graph6
+from oracles import isomorphism_class_count, labeled_graphs, ref_decode_graph6
 
 
 def test_known_line_decodes_to_star():
@@ -52,13 +52,13 @@ def test_parse_rejections():
 
 def test_roundtrip_all_classes_to_7():
     for n in range(1, 8):
-        for g in enumerate_graphs(n, "canonical"):
+        for g in enumerate_graphs(n):
             assert parse_graph6(to_graph6(g)) == g
 
 
 def test_roundtrip_all_labeled_to_4():
     for n in range(1, 5):
-        for g in enumerate_graphs(n, "labeled"):
+        for g in labeled_graphs(n):
             assert parse_graph6(to_graph6(g)) == g
 
 
@@ -66,7 +66,7 @@ def test_corpus_against_reference_decoder():
     # <=100 lines: every class on up to 5 vertices plus seeded 6/7-vertex graphs.
     corpus = []
     for n in range(1, 6):
-        corpus.extend(to_graph6(g) for g in enumerate_graphs(n, "canonical"))
+        corpus.extend(to_graph6(g) for g in enumerate_graphs(n))
     rng = random.Random(20250501)
     for n in (6, 7):
         for _ in range(24):
@@ -94,10 +94,38 @@ def test_line_stream_reports_line_numbers():
     assert len(out) == 1  # the first line parsed before the failure
 
 
+def test_lines_from_an_ascii_file(tmp_path):
+    path = tmp_path / "graphs.g6"
+    path.write_text("Ch\nD?{\n@\n")
+    with open(path, encoding="ascii") as handle:
+        assert [g.n for g in parse_graph6_lines(handle)] == [4, 5, 1]
+
+
+def test_lines_name_a_bad_first_line(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text("*nope\nCh\n")
+    with open(path, encoding="ascii") as handle:
+        with pytest.raises(Graph6Error, match="line 1"):
+            list(parse_graph6_lines(handle))
+
+
+def test_lines_keep_order_and_stream():
+    read = []
+
+    def lines():
+        for line in ["@", "A_", "Bw"]:
+            read.append(line)
+            yield line
+
+    stream = parse_graph6_lines(lines())
+    assert next(stream).n == 1 and read == ["@"]
+    assert [g.n for g in stream] == [2, 3]
+
+
 @pytest.mark.slow
 def test_roundtrip_and_class_count_at_8():
     count = 0
-    for g in enumerate_graphs(8, "canonical"):
+    for g in enumerate_graphs(8):
         count += 1
         assert parse_graph6(to_graph6(g)) == g
     assert count == isomorphism_class_count(8)

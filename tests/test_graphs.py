@@ -28,12 +28,12 @@ from abperfect import (
 )
 from abperfect.graphs import _automorphisms
 from oracles import diameter
-from oracles import brute_automorphism_count, brute_min_code
+from oracles import brute_automorphism_count, brute_min_code, labeled_graphs
 
 
 def small_classes(n_max):
     for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n, "canonical")
+        yield from enumerate_graphs(n)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def test_isomorphism_examples():
 def test_canonical_form_matches_brute_min_code_equality():
     # On all labeled graphs with 4 vertices: canonical forms agree exactly
     # when the unrestricted minimum permutation codes agree.
-    labeled = list(enumerate_graphs(4, "labeled"))
+    labeled = list(labeled_graphs(4))
     brute = [brute_min_code(g) for g in labeled]
     canon = [canonical_form(g) for g in labeled]
     for i in range(len(labeled)):

@@ -1,4 +1,4 @@
-"""Enumeration counts, sweep plumbing, ingestion, and report formats."""
+"""Enumeration counts, sweep plumbing, and report formats."""
 
 import hashlib
 import json
@@ -17,7 +17,6 @@ import abperfect
 from abperfect import (
     INVARIANT_CHAIN,
     CapacityError,
-    Graph6Error,
     canonical_form,
     chromatic_number,
     complete_graph,
@@ -26,47 +25,42 @@ from abperfect import (
     grundy_number,
     has_coloring,
     induced_subgraph,
-    ingest,
     is_ab_perfect,
     path_graph,
     sweep,
     to_graph6,
 )
 from abperfect import harness, perfectness, solvers
-from oracles import isomorphism_class_count, unpruned_levels
+from oracles import isomorphism_class_count, labeled_graphs, unpruned_levels
 
 
 def test_labeled_enumeration_counts():
-    assert sum(1 for _ in enumerate_graphs(2, "labeled")) == 2
-    assert sum(1 for _ in enumerate_graphs(4, "labeled")) == 64
+    assert sum(1 for _ in labeled_graphs(2)) == 2
+    assert sum(1 for _ in labeled_graphs(4)) == 64
 
 
 def test_canonical_counts_match_labeled_dedup_oracle():
     for n in range(1, 6):
-        labeled_classes = {canonical_form(g) for g in enumerate_graphs(n, "labeled")}
-        canonical = list(enumerate_graphs(n, "canonical"))
+        labeled_classes = {canonical_form(g) for g in labeled_graphs(n)}
+        canonical = list(enumerate_graphs(n))
         assert len(canonical) == len(labeled_classes)
         assert {canonical_form(g) for g in canonical} == labeled_classes
 
 
 def test_canonical_counts_match_cycle_index_oracle():
     for n in range(1, 8):
-        count = sum(1 for _ in enumerate_graphs(n, "canonical"))
+        count = sum(1 for _ in enumerate_graphs(n))
         assert count == isomorphism_class_count(n)
 
 
 def test_enumeration_caps_and_modes():
     with pytest.raises(CapacityError):
-        next(enumerate_graphs(8, "labeled"))
-    with pytest.raises(CapacityError):
-        next(enumerate_graphs(9, "canonical"))
-    with pytest.raises(ValueError):
-        next(enumerate_graphs(3, "sideways"))
+        next(enumerate_graphs(9))
 
 
 def test_enumeration_is_deterministic():
-    first = [to_graph6(g) for g in enumerate_graphs(5, "canonical")]
-    second = [to_graph6(g) for g in enumerate_graphs(5, "canonical")]
+    first = [to_graph6(g) for g in enumerate_graphs(5)]
+    second = [to_graph6(g) for g in enumerate_graphs(5)]
     assert first == second
 
 
@@ -76,7 +70,7 @@ def test_enumeration_stream_is_frozen():
     # shows here.
     digest = hashlib.sha256()
     for n in range(1, 9):
-        for g in enumerate_graphs(n, "canonical"):
+        for g in enumerate_graphs(n):
             digest.update((to_graph6(g) + "\n").encode())
         if n == 7:
             assert (
@@ -88,7 +82,7 @@ def test_enumeration_stream_is_frozen():
 
 def test_orbit_pruned_levels_equal_unpruned_reference():
     for n, level in enumerate(unpruned_levels(7), start=1):
-        assert list(enumerate_graphs(n, "canonical")) == level, n
+        assert list(enumerate_graphs(n)) == level, n
 
 
 def test_enumeration_matches_networkx_atlas():
@@ -102,7 +96,7 @@ def test_enumeration_matches_networkx_atlas():
         key = invariants(h.number_of_nodes(), h.number_of_edges(), (d for _, d in h.degree()))
         atlas.setdefault(key, []).append((index, h))
     for n, count in zip(range(1, 8), (1, 2, 4, 11, 34, 156, 1044)):
-        representatives = list(enumerate_graphs(n, "canonical"))
+        representatives = list(enumerate_graphs(n))
         matched = set()
         for g in representatives:
             h = nx.Graph()
@@ -413,29 +407,3 @@ def test_cycle_table_caps():
         cycle_alpha_psi(13)
     with pytest.raises(CapacityError):
         cycle_alpha_psi(2)
-
-
-# ---------------------------------------------------------------------------
-# Ingestion
-# ---------------------------------------------------------------------------
-
-
-def test_ingest_from_file(tmp_path):
-    path = tmp_path / "graphs.g6"
-    path.write_text("Ch\nD?{\n@\n")
-    graphs = list(ingest(path))
-    assert [g.n for g in graphs] == [4, 5, 1]
-
-
-def test_ingest_reports_bad_line(tmp_path):
-    path = tmp_path / "bad.g6"
-    path.write_text("*nope\nCh\n")
-    with pytest.raises(Graph6Error, match="line 1"):
-        list(ingest(path))
-
-
-def test_ingest_preserves_order_and_streams():
-    lines = iter(["@", "A_", "Bw"])
-    sizes = [g.n for g in ingest(lines)]
-    assert sizes == [1, 2, 3]
-

@@ -26,7 +26,6 @@ from abperfect import (
     rebuild,
     recognize_structure,
     to_graph6,
-    verify_equivalence,
 )
 from abperfect import perfectness
 from abperfect.perfectness import INVARIANT_SOLVERS
@@ -37,7 +36,7 @@ PAIRS = tuple(combinations(INVARIANT_CHAIN, 2))
 
 def small_classes(n_max):
     for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n, "canonical")
+        yield from enumerate_graphs(n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +339,20 @@ def test_deep_nesting_decomposes():
 # ---------------------------------------------------------------------------
 
 
+def four_predicates(g):
+    """omega-psi-perfect, chi-psi-perfect, quartet-free, structure: each on its own."""
+    return (
+        is_ab_perfect(g, "omega", "psi").perfect,
+        is_ab_perfect(g, "chi", "psi").perfect,
+        family_check(g, "omega_psi_quartet").free,
+        recognize_structure(g).accepted,
+    )
+
+
 def test_equivalence_examples():
-    record = verify_equivalence(disjoint_union(complete_graph(3), complete_graph(3)))
-    assert record.as_tuple() == (True, True, True, True)
-    record = verify_equivalence(path_graph(4))
-    assert record.as_tuple() == (False, False, False, False)
-    record = verify_equivalence(cycle_graph(4))
-    assert record.as_tuple() == (False, False, False, False)
-    assert record.all_equal
+    assert four_predicates(disjoint_union(complete_graph(3), complete_graph(3))) == (True,) * 4
+    assert four_predicates(path_graph(4)) == (False,) * 4
+    assert four_predicates(cycle_graph(4)) == (False,) * 4
 
 
 def test_equivalence_on_mixed_union():
@@ -355,8 +360,7 @@ def test_equivalence_on_mixed_union():
         join(complete_graph(2), disjoint_union(complete_graph(1), complete_graph(2))),
         empty_graph(2),
     )
-    record = verify_equivalence(g)
-    assert record.all_equal and record.omega_psi_perfect
+    assert four_predicates(g) == (True,) * 4
 
 
 def test_ab_perfect_at_the_10_vertex_cap():
@@ -372,9 +376,9 @@ def test_equivalence_sampled_at_the_enumeration_cap():
     import random
 
     rng = random.Random(90125)
-    pool = list(enumerate_graphs(8, "canonical"))
+    pool = list(enumerate_graphs(8))
     for g in rng.sample(pool, 120):
-        assert verify_equivalence(g).all_equal
+        assert len(set(four_predicates(g))) == 1, to_graph6(g)
 
 
 def test_two_clique_union_full_profiles_at_grid_corners():

@@ -10,38 +10,46 @@ from abperfect import (
     CapacityError,
     ParameterProfile,
     achromatic_number,
+    canonical_form,
     chromatic_number,
     clique_number,
     complete_graph,
+    cycle_alpha_psi,
     cycle_graph,
     disjoint_union,
     empty_graph,
     enumerate_graphs,
+    family_check,
     from_edge_list,
     grundy_number,
     has_coloring,
+    is_ab_perfect,
     is_complete_coloring,
     is_grundy,
+    is_isomorphic,
     is_proper,
     k44_c7_graph,
     path_graph,
     profile,
     pseudoachromatic_number,
+    sweep,
     to_graph6,
 )
-from abperfect.solvers import _CAPS, _MODE_SOLVERS
+from abperfect.graphs import CAPS
+from abperfect.solvers import _MODE_SOLVERS
 from oracles import (
     brute_achromatic,
     brute_chromatic,
     brute_clique,
     brute_grundy,
     brute_pseudoachromatic,
+    labeled_graphs,
 )
 
 
 def small_classes(n_max):
     for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n, "canonical")
+        yield from enumerate_graphs(n)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,7 @@ def test_solvers_match_oracles_small():
 
 
 def test_complete_solvers_match_oracles_at_6():
-    for g in enumerate_graphs(6, "canonical"):
+    for g in enumerate_graphs(6):
         assert achromatic_number(g) == brute_achromatic(g), to_graph6(g)
         assert pseudoachromatic_number(g) == brute_pseudoachromatic(g), to_graph6(g)
 
@@ -140,7 +148,7 @@ def test_chain_holds_small():
 @pytest.mark.slow
 def test_chain_holds_on_every_labeled_graph_to_6():
     for n in range(1, 7):
-        for g in enumerate_graphs(n, "labeled"):
+        for g in labeled_graphs(n):
             profile(g)
 
 
@@ -263,21 +271,35 @@ def test_has_coloring_argument_validation():
 
 
 def test_capacity_caps_are_errors():
+    # One call per entry of the cap table, on n vertices; a cap without a
+    # call here fails the key check.
+    def on_empty(solve):
+        return lambda n: solve(empty_graph(n))
+
     capped = {
-        "chromatic_number": chromatic_number,
-        "grundy_number": grundy_number,
-        "achromatic_number": achromatic_number,
-        "pseudoachromatic_number": pseudoachromatic_number,
-        "profile": profile,
+        "canonical_form": on_empty(canonical_form),
+        "canonical enumeration": lambda n: next(enumerate_graphs(n)),
+        "is_isomorphic": lambda n: is_isomorphic(empty_graph(n), empty_graph(n)),
+        "is_ab_perfect": lambda n: is_ab_perfect(empty_graph(n), "omega", "psi"),
+        "odd_holes_and_antiholes": lambda n: family_check(
+            empty_graph(n), "odd_holes_and_antiholes"
+        ),
+        "cycle table": cycle_alpha_psi,
+        "grundy_number": on_empty(grundy_number),
+        "achromatic_number": on_empty(achromatic_number),
+        "pseudoachromatic_number": on_empty(pseudoachromatic_number),
+        "profile": on_empty(profile),
+        "lemma2 sweep": lambda n: sweep("lemma2", n),
+        "chromatic_number": on_empty(chromatic_number),
     }
-    assert capped.keys() == _CAPS.keys()
-    for name, cap in _CAPS.items():
-        with pytest.raises(CapacityError, match=f"capped at {cap} vertices, got {cap + 1}"):
-            capped[name](empty_graph(cap + 1))
-        capped[name](empty_graph(cap))
+    assert capped.keys() == CAPS.keys()
+    for name, cap in CAPS.items():
+        with pytest.raises(CapacityError, match=rf"\b{cap}\b.*, got {cap + 1}$"):
+            capped[name](cap + 1)
+        capped[name](cap)
     assert set(_MODE_SOLVERS) == {"complete", "proper_complete", "grundy"}
     for mode, name in _MODE_SOLVERS.items():
-        cap = _CAPS[name]
+        cap = CAPS[name]
         with pytest.raises(CapacityError, match=f"capped at {cap} vertices, got {cap + 1}"):
             has_coloring(empty_graph(cap + 1), 1, mode)
         assert has_coloring(empty_graph(cap), 1, mode)
