@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -266,7 +267,11 @@ def _cmd_cycles(args) -> int:
     return 1 if mismatched else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves no state on it, and help text reads the
+    terminal width when it is printed."""
     parser = argparse.ArgumentParser(
         prog="abperfect",
         description="Exact coloring invariants and perfectness checks for small graphs.",

@@ -4,10 +4,13 @@ A graph is ab-perfect for two invariants a <= b (in the universal chain
 omega, chi, gamma, alpha, psi) when a(H) = b(H) on every induced
 subgraph H.  The checker scans subsets in increasing size then
 lexicographic order, so the first violation it reports is minimal: every
-strictly smaller subset has already passed.  Many subsets induce the same
-relabelled subgraph, so each call memoizes (a(H), b(H)) on H's adjacency
-rows and solves every distinct labelled subgraph once; the memo holds at
-most 2^n - 1 entries and is dropped when the call returns.
+strictly smaller subset has already passed.  Each subset's relabelled
+adjacency rows are built in O(k) from those of its prefix, one size
+smaller and already scanned, and only two sizes of rows are kept, at most
+C(10, 5) = 252 tuples each.  Many subsets induce the same relabelled
+subgraph, so each call memoizes (a(H), b(H)) on H's adjacency rows and
+solves every distinct labelled subgraph once; the memo holds at most
+2^n - 1 entries and is dropped when the call returns.
 
 The recognizer decides the structural characterization of the
 omega-psi-perfect graphs: a connected one is a complete graph or the
@@ -24,6 +27,7 @@ from typing import Callable
 
 from .graphs import (
     Graph,
+    _trusted,
     check_cap,
     complete_graph,
     connected_components,
@@ -79,11 +83,16 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     """Check a(H) = b(H) on every induced subgraph of g.
 
     Subsets are scanned by size then lexicographically; the first
-    violating subset is returned, and minimality is automatic.  The
-    solvers are functions of the adjacency rows alone, so (a(H), b(H)) is
-    memoized per call on ``H.adj``, which also fixes H's order: each
-    distinct labelled subgraph is solved once, and the memo never holds
-    more than the 2^10 - 1 subsets of the cap.
+    violating subset is returned, and minimality is automatic.  A subset
+    S of size k is its prefix S[:-1] plus its last vertex u, so S's rows,
+    relabelled to 0..k-1 as ``induced_subgraph`` does, are the prefix's
+    rows, each with bit k-1 set when its vertex is adjacent to u, followed
+    by u's row of those bits.  Only the previous size's rows are kept, at
+    most C(10, 5) = 252 tuples under the cap.  The solvers are functions
+    of the adjacency rows alone, so (a(H), b(H)) is memoized per call on
+    ``H.adj``, which also fixes H's order: each distinct labelled subgraph
+    is solved once, and the memo never holds more than the 2^10 - 1
+    subsets of the cap.
     """
     if a not in INVARIANT_CHAIN or b not in INVARIANT_CHAIN:
         raise ValueError(f"invariants must be among {INVARIANT_CHAIN}")
@@ -95,17 +104,31 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     solve_a = INVARIANT_SOLVERS[a]
     solve_b = INVARIANT_SOLVERS[b]
     solved: dict[tuple[int, ...], tuple[int, int]] = {}
+    prefix_rows: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     for size in range(1, g.n + 1):
+        top = 1 << (size - 1)
+        subset_rows = {}
         for subset in combinations(range(g.n), size):
-            h = induced_subgraph(g, subset)
-            values = solved.get(h.adj)
+            last = g.adj[subset[-1]]
+            own = 0
+            rows = []
+            for i, (v, row) in enumerate(zip(subset, prefix_rows[subset[:-1]])):
+                if last >> v & 1:
+                    row |= top
+                    own |= 1 << i
+                rows.append(row)
+            rows.append(own)
+            adj = subset_rows[subset] = tuple(rows)
+            values = solved.get(adj)
             if values is None:
-                values = solved[h.adj] = solve_a(h), solve_b(h)
+                h = _trusted(size, adj)
+                values = solved[adj] = solve_a(h), solve_b(h)
             a_val, b_val = values
             if a_val != b_val:
                 return PerfectnessVerdict(
                     (a, b), False, (frozenset(subset), a_val, b_val)
                 )
+        prefix_rows = subset_rows
     return PerfectnessVerdict((a, b), True, None)
 
 

@@ -395,3 +395,25 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch):
     assert list(got) == list(expected)
     for key, outcome in got.items():
         assert outcome == expected[key], key
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # ``main`` reuses one parser per process: a usage error leaves nothing
+    # behind for the next call, and help reads the terminal width each time.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "check", "--a", "size", "--b", "psi", "--named", "p4")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'size'" in err
+    expected = json.loads(GOLDEN.read_text())
+    paths = _golden_paths(tmp_path)
+    for fmt in ("text", "json", "csv"):
+        argv = ("check", "--a", "omega", "--b", "psi", "--named", "p4", "--format", fmt)
+        assert _golden_run(argv, paths) == expected[" ".join(argv)]
+    helps = []
+    for columns in ("60", "100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = run(capsys, "check", "--help")
+        assert code == 0
+        helps.append(out)
+    widths = [max(len(line) for line in text.splitlines()) for text in helps]
+    assert helps[0] == helps[2] and widths[0] < widths[1]

@@ -27,7 +27,6 @@ from abperfect import (
     recognize_structure,
     to_graph6,
 )
-from abperfect import perfectness
 from abperfect.perfectness import INVARIANT_SOLVERS
 from oracles import reference_scan
 
@@ -175,15 +174,9 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
         complete_graph(2),
         disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(2)),
     )
-    visited = []
-    real_induced = perfectness.induced_subgraph
-
-    def counted_induced(host, vertices):
-        h = real_induced(host, vertices)
-        visited.append(h.adj)
-        return h
-
-    monkeypatch.setattr(perfectness, "induced_subgraph", counted_induced)
+    subsets = [s for size in range(1, g.n + 1) for s in combinations(range(g.n), size)]
+    distinct = sorted({induced_subgraph(g, s).adj for s in subsets})
+    assert len(subsets) == 1023 and len(distinct) == 86
     solved: dict = {}
     for name in ("omega", "psi"):
 
@@ -193,9 +186,34 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
 
         monkeypatch.setitem(INVARIANT_SOLVERS, name, counted)
     assert is_ab_perfect(g, "omega", "psi").perfect
-    distinct = sorted(set(visited))
-    assert len(visited) == 1023 and len(distinct) == 86
     assert sorted(solved["omega"]) == sorted(solved["psi"]) == distinct
+
+
+def test_scan_rows_match_induced_subgraph(monkeypatch):
+    # With omega and psi stubbed to agree, every scan is perfect and visits
+    # every subset, so each graph the scan builds from its prefix's rows
+    # reaches a solver: together they must be exactly the induced subgraphs,
+    # each solved once per solver.
+    solved = []
+    for name in ("omega", "psi"):
+
+        def constant(h, name=name):
+            solved.append((name, h.n, h.adj))
+            return 1
+
+        monkeypatch.setitem(INVARIANT_SOLVERS, name, constant)
+    for seed in range(6):
+        g = seeded_gnp(seed, 10, 0.5)
+        solved.clear()
+        assert is_ab_perfect(g, "omega", "psi").perfect
+        expected = {
+            (h.n, h.adj)
+            for size in range(1, g.n + 1)
+            for h in (induced_subgraph(g, s) for s in combinations(range(g.n), size))
+        }
+        for name in ("omega", "psi"):
+            got = sorted((n, adj) for solver, n, adj in solved if solver == name)
+            assert got == sorted(expected), (seed, name)
 
 
 # ---------------------------------------------------------------------------
