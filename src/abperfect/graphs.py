@@ -127,7 +127,9 @@ def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicates collapse, order ignored.
 
-    Rejects loops, endpoints outside 0..n-1, and n outside 1..32.
+    Rejects loops, endpoints outside 0..n-1, and n outside 1..32.  n is
+    checked before any edge is read, so the named constructors below pass
+    lazy edge generators and an oversized n fails at once.
     """
     if not 1 <= n <= MAX_VERTICES:
         raise CapacityError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
@@ -217,17 +219,17 @@ def universal_vertices(g: Graph) -> frozenset[int]:
 
 
 def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return from_edge_list(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -237,7 +239,7 @@ def empty_graph(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return from_edge_list(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def k44_c7_graph() -> Graph:

@@ -9,13 +9,14 @@ represented by its first child; neighborhoods that an automorphism of
 the parent maps to an earlier one give children that are never first,
 so they are skipped without labelling them.
 
-A sweep builds one invariant table over those classes, bottom-up, and
-the theorem is a predicate over each row.  The ab-perfect flags are
-hereditary first: a class's one-vertex deletions are read one level
-down, its enumeration parent first, and a pair is solved on the class
-only while every deletion read so far is perfect for it.  Sweeps stop
-collecting after 100 violations and are deterministic: identical reports
-(elapsed time aside) across runs and across worker counts.
+A sweep walks those classes bottom-up, and the theorem is one check per
+class over the graph, its solved invariants and its ab-perfect flags,
+run where the class is solved.  The flags are hereditary first: a
+class's one-vertex deletions are read one level down, its enumeration
+parent first, and a pair is solved on the class only while every
+deletion read so far is perfect for it.  Sweeps stop collecting after
+100 violations and are deterministic: identical reports (elapsed time
+aside) across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .forbidden import PATTERNS, contains_induced, family_check
 from .graph6 import to_graph6
@@ -52,10 +53,11 @@ from .perfectness import (
     recognize_structure,
 )
 from .solvers import (
+    _complete_partition,
     _grundy_reachable,
+    _plan,
     achromatic_number,
     clique_number,
-    has_coloring,
     pseudoachromatic_number,
 )
 
@@ -116,7 +118,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# The invariant table: one row per isomorphism class, built level by level.
+# The flag table: the ab-perfect flags of each class, built level by level.
 #
 # Every proper induced subgraph of G lies inside some G - v, so by the
 # definition of ab-perfectness alone
@@ -129,62 +131,45 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 
 
 Pair = tuple[str, str]
-
-
-class _Row(NamedTuple):
-    """What a sweep knows about one isomorphism class.
-
-    ``values`` maps each solved invariant to its raw value, so a broken
-    chain reaches the checker instead of raising; a pair target's row
-    holds only the invariants of the pairs that were still alive (see
-    ``_live_pairs``).  ``facts`` holds the target's per-graph results that
-    are not invariants; ``flags`` maps each pair (a, b) to whether the
-    class is ab-perfect.
-    """
-
-    values: dict[str, int]
-    facts: tuple
-    flags: dict[Pair, bool]
+Flags = dict[Pair, bool]
 
 
 @dataclass(frozen=True)
 class _Target:
-    """One table-backed sweep: what each row holds and the predicate over it.
+    """One table-backed sweep: the check run on each class and what it needs.
 
-    ``check`` maps a row to a violation detail, or None.  The invariants
-    in ``invariants`` are solved on every class, those of a pair in
-    ``pairs`` only where the pair can still hold; ``facts`` computes the
-    rest of the row from the graph and its solved values, and may add an
-    invariant that its own search yields.  A graph
-    failing ``hypothesis`` gets no row and is not counted.  ``witnesses``
+    ``check(g, values, flags)`` returns a violation detail, or None, and
+    works out any per-graph result beyond the invariants itself.
+    ``values`` maps each solved invariant to its raw value, so a broken
+    chain reaches the check instead of raising: the invariants in
+    ``invariants`` are solved on every class, those of a pair in ``pairs``
+    only where the pair can still hold (see ``_live_pairs``).  ``flags``
+    maps each pair (a, b) to whether the class is a-b-perfect.  A graph
+    failing ``hypothesis`` is not checked or counted.  ``witnesses``
     checks graphs outside the table after it, appending to the violations
     and returning how many graphs it checked.
     """
 
-    check: Callable[[_Row], str | None]
+    check: Callable[[Graph, dict[str, int], Flags], str | None]
     pairs: tuple[Pair, ...] = ()
     invariants: tuple[str, ...] = ()
-    facts: Callable[[Graph, dict[str, int]], tuple] | None = None
     hypothesis: Callable[[Graph], bool] | None = None
     witnesses: Callable[[list[tuple[str, str]]], int] | None = None
 
 
-def _solve_row(
-    theorem: str, g: Graph, live: tuple[Pair, ...]
-) -> tuple[dict[str, int], tuple] | None:
-    """Worker body: everything in g's row that needs only g itself.
+def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, str | None] | None:
+    """Worker body: g's flags and its check's detail, or None off the hypothesis.
 
     Solves the target's own invariants and both sides of each ``live``
-    pair, each invariant once, then the facts.  None when g fails the
-    target's hypothesis.
+    pair, each invariant once; a pair that is not live is False unsolved.
     """
     target = _TARGETS[theorem]
     if target.hypothesis is not None and not target.hypothesis(g):
         return None
     wanted = set(target.invariants).union(*live)
     values = {name: INVARIANT_SOLVERS[name](g) for name in INVARIANT_CHAIN if name in wanted}
-    facts = target.facts(g, values) if target.facts is not None else ()
-    return values, facts
+    flags = {(a, b): (a, b) in live and values[a] == values[b] for a, b in target.pairs}
+    return flags, target.check(g, values, flags)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -201,8 +186,8 @@ def _deletion_class(rows: tuple[int, ...]) -> bytes:
 def _live_pairs(
     g: Graph,
     pairs: tuple[Pair, ...],
-    parent_flags: dict[tuple[int, ...], dict[Pair, bool]],
-    below: dict[bytes, dict[Pair, bool]],
+    parent_flags: dict[tuple[int, ...], Flags],
+    below: dict[bytes, Flags],
 ) -> tuple[Pair, ...]:
     """The pairs for which every one-vertex deletion of g is perfect.
 
@@ -233,18 +218,18 @@ def _live_pairs(
 
 def _table_rows(
     theorem: str, n_max: int, pool: Executor | None = None
-) -> Iterator[tuple[Graph, _Row | None]]:
-    """The row of every class up to n_max vertices, in enumeration order.
+) -> Iterator[tuple[Graph, tuple[Flags, str | None] | None]]:
+    """Each class up to n_max vertices with its ``_check_row`` result, in enumeration order.
 
     For each level, the calling process first reads the flags of every
-    class's deletions from the level below, the only rows the table keeps,
-    and finds the pairs still alive; a pair with an imperfect deletion is
-    False without a solve.  The classes are then solved independently, in
-    ``pool`` when given, for the target's invariants and the live pairs.
+    class's deletions from the level below, the only flags the table
+    keeps, and finds the pairs still alive; a pair with an imperfect
+    deletion is False without a solve.  The classes are then solved and
+    checked independently, in ``pool`` when given.
     """
     target = _TARGETS[theorem]
-    solve = partial(_solve_row, theorem)
-    below: dict[bytes, dict[Pair, bool]] = {}
+    check = partial(_check_row, theorem)
+    below: dict[bytes, Flags] = {}
     for n in range(1, n_max + 1):
         graphs = list(enumerate_graphs(n))
         parent_flags = {}
@@ -252,21 +237,14 @@ def _table_rows(
             parent_flags = {h.adj: below[key] for key, h in _canonical_level(n - 1).items()}
         lives = [_live_pairs(g, target.pairs, parent_flags, below) for g in graphs]
         if pool is None:
-            solved = map(solve, graphs, lives)
+            results = map(check, graphs, lives)
         else:
-            solved = pool.map(solve, graphs, lives, chunksize=16)
-        here: dict[bytes, dict[Pair, bool]] = {}
-        for key, g, live, result in zip(_canonical_level(n), graphs, lives, solved):
-            if result is None:
-                yield g, None
-                continue
-            values, facts = result
-            flags = {
-                (a, b): (a, b) in live and values[a] == values[b] for a, b in target.pairs
-            }
-            if flags:
-                here[key] = flags
-            yield g, _Row(values, facts, flags)
+            results = pool.map(check, graphs, lives, chunksize=16)
+        here: dict[bytes, Flags] = {}
+        for key, g, result in zip(_canonical_level(n), graphs, results):
+            if result is not None and result[0]:
+                here[key] = result[0]
+            yield g, result
         below = here
 
 
@@ -276,21 +254,18 @@ def _table_rows(
 # ---------------------------------------------------------------------------
 
 
-def _check_eq1_chain(row: _Row) -> str | None:
-    values = [row.values[name] for name in INVARIANT_CHAIN]
-    if any(a > b for a, b in zip(values, values[1:])):
-        joined = " ".join(f"{k}={v}" for k, v in zip(INVARIANT_CHAIN, values))
+def _check_eq1_chain(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+    chain = [values[name] for name in INVARIANT_CHAIN]
+    if any(a > b for a, b in zip(chain, chain[1:])):
+        joined = " ".join(f"{k}={v}" for k, v in zip(INVARIANT_CHAIN, chain))
         return f"chain violated: {joined}"
     return None
 
 
-def _theorem4_facts(g: Graph, values: dict[str, int]) -> tuple[bool, bool]:
-    return family_check(g, "omega_psi_quartet").free, recognize_structure(g).accepted
-
-
-def _check_theorem4(row: _Row) -> str | None:
-    omega_psi, chi_psi = row.flags["omega", "psi"], row.flags["chi", "psi"]
-    quartet_free, structure = row.facts
+def _check_theorem4(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+    omega_psi, chi_psi = flags["omega", "psi"], flags["chi", "psi"]
+    quartet_free = family_check(g, "omega_psi_quartet").free
+    structure = recognize_structure(g).accepted
     if not omega_psi == chi_psi == quartet_free == structure:
         return (
             "equivalence broken: "
@@ -305,18 +280,14 @@ def _check_theorem4(row: _Row) -> str | None:
 def _equivalence_target(b: str, family: str, label: str) -> _Target:
     """omega-b-perfect, chi-b-perfect and ``family``-free coincide."""
 
-    def check(row: _Row) -> str | None:
-        p_omega, p_chi = row.flags["omega", b], row.flags["chi", b]
-        (free,) = row.facts
+    def check(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+        p_omega, p_chi = flags["omega", b], flags["chi", b]
+        free = family_check(g, family).free
         if not p_omega == p_chi == free:
             return f"omega_{b}={p_omega} chi_{b}={p_chi} {label}_free={free}"
         return None
 
-    return _Target(
-        check,
-        pairs=(("omega", b), ("chi", b)),
-        facts=lambda g, values: (family_check(g, family).free,),
-    )
+    return _Target(check, pairs=(("omega", b), ("chi", b)))
 
 
 def _is_c4_p4_free(g: Graph) -> bool:
@@ -330,68 +301,50 @@ def _lemma1_filter(g: Graph) -> bool:
     return is_connected(g) and _is_c4_p4_free(g)
 
 
-def _check_lemma1(row: _Row) -> str | None:
-    (has_universal,) = row.facts
-    if not has_universal:
+def _check_lemma1(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+    if not universal_vertices(g):
         return "connected (C4,P4)-free graph without a universal vertex"
     return None
 
 
-def _first_gap(
-    values: dict[str, int], high: str, has_k: Callable[[int], bool]
-) -> tuple[int | None]:
-    """The least count from chi to high with no coloring, or None."""
-    counts = range(values["chi"], values[high] + 1)
-    return (next((k for k in counts if not has_k(k)), None),)
+def _gap_detail(
+    label: str, chi: int, high: str, top: int, has_k: Callable[[int], bool]
+) -> str | None:
+    """The least count from chi to top with no ``label`` coloring, as a detail."""
+    gap = next((k for k in range(chi, top + 1) if not has_k(k)), None)
+    if gap is None:
+        return None
+    return f"no {label} coloring with {gap} colors (chi={chi}, {high}={top})"
 
 
-def _hhp_facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
-    return _first_gap(values, "alpha", partial(has_coloring, g, mode="proper_complete"))
+def _check_hhp(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+    """A proper complete coloring exists with every count from chi(G) to alpha(G)."""
+    plan = _plan(g)
+
+    def fits(k: int) -> bool:
+        return _complete_partition(plan, k, True) is not None
+
+    return _gap_detail("proper complete", values["chi"], "alpha", values["alpha"], fits)
 
 
-def _grundy_facts(g: Graph, values: dict[str, int]) -> tuple[int | None]:
-    """The Grundy gap, from one reachable set per class.
+def _check_grundy(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+    """A Grundy coloring exists with every count from chi(G) to gamma(G).
 
-    gamma is by definition the largest count in that set, so where
-    ``values`` lacks gamma it is read from the set, not solved by a second
-    search.
+    gamma is by definition the largest count in the reachable set that
+    answers each count of the gap, so it is read there, not solved by a
+    second search.
     """
     counts = _grundy_reachable(g)[(1 << g.n) - 1]
-    values.setdefault("gamma", max(counts))
-    return _first_gap(values, "gamma", counts.__contains__)
-
-
-def _interpolation_target(
-    high: str,
-    facts: Callable[[Graph, dict[str, int]], tuple[int | None]],
-    label: str,
-    invariants: tuple[str, ...],
-) -> _Target:
-    """A ``label`` coloring exists with every count from chi(G) to high(G).
-
-    ``facts`` finds the gap and may add high(G) to the row's values, when
-    the search it runs yields it (see ``_grundy_facts``).
-    """
-
-    def check(row: _Row) -> str | None:
-        (gap,) = row.facts
-        if gap is None:
-            return None
-        return (
-            f"no {label} coloring with {gap} colors "
-            f"(chi={row.values['chi']}, {high}={row.values[high]})"
-        )
-
-    return _Target(check, invariants=invariants, facts=facts)
+    return _gap_detail("Grundy", values["chi"], "gamma", max(counts), counts.__contains__)
 
 
 # omega_psi implies omega_alpha implies omega_gamma implies omega_chi
 _FIGURE3_ORDER = ("psi", "alpha", "gamma", "chi")
 
 
-def _check_figure3_inclusions(row: _Row) -> str | None:
+def _check_figure3_inclusions(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
     for stronger, weaker in zip(_FIGURE3_ORDER, _FIGURE3_ORDER[1:]):
-        if row.flags["omega", stronger] and not row.flags["omega", weaker]:
+        if flags["omega", stronger] and not flags["omega", weaker]:
             return f"inclusion omega_{stronger} -> omega_{weaker} violated"
     return None
 
@@ -434,20 +387,12 @@ def _sweep_figure3_witnesses(violations: list[tuple[str, str]]) -> int:
 
 _TARGETS: dict[str, _Target] = {
     "eq1_chain": _Target(_check_eq1_chain, invariants=INVARIANT_CHAIN),
-    "theorem4": _Target(
-        _check_theorem4, pairs=(("omega", "psi"), ("chi", "psi")), facts=_theorem4_facts
-    ),
+    "theorem4": _Target(_check_theorem4, pairs=(("omega", "psi"), ("chi", "psi"))),
     "theorem1_cs": _equivalence_target("gamma", "p4_only", "p4"),
     "theorem2_cs": _equivalence_target("alpha", "achro_triple", "triple"),
-    "lemma1": _Target(
-        _check_lemma1,
-        facts=lambda g, values: (bool(universal_vertices(g)),),
-        hypothesis=_lemma1_filter,
-    ),
-    "interpolation_hhp": _interpolation_target(
-        "alpha", _hhp_facts, "proper complete", ("chi", "alpha")
-    ),
-    "interpolation_grundy": _interpolation_target("gamma", _grundy_facts, "Grundy", ("chi",)),
+    "lemma1": _Target(_check_lemma1, hypothesis=_lemma1_filter),
+    "interpolation_hhp": _Target(_check_hhp, invariants=("chi", "alpha")),
+    "interpolation_grundy": _Target(_check_grundy, invariants=("chi",)),
     "figure3_inclusions": _Target(
         _check_figure3_inclusions,
         pairs=tuple(("omega", b) for b in _FIGURE3_ORDER),
@@ -540,13 +485,12 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[s
     violations: list[tuple[str, str]] = []
     try:
         with pool as executor:
-            for g, row in _table_rows(theorem, n_max, executor):
-                if row is None:
+            for g, result in _table_rows(theorem, n_max, executor):
+                if result is None:
                     continue
                 checked += 1
-                detail = target.check(row)
-                if detail is not None and len(violations) < VIOLATION_LIMIT:
-                    violations.append((to_graph6(g), detail))
+                if result[1] is not None and len(violations) < VIOLATION_LIMIT:
+                    violations.append((to_graph6(g), result[1]))
     except broken:
         raise RuntimeError(
             f"sweep(jobs={jobs}) lost its worker processes.  Workers are spawned and "

@@ -256,6 +256,12 @@ def test_capacity_exits_two_naming_cap(capsys):
     assert "capped at 13" in err
 
 
+def test_oversized_named_graph_exits_two_at_once(capsys):
+    code, _, err = run(capsys, "params", "--named", "k3000")
+    assert code == 2
+    assert "vertex count must be in 1..32" in err
+
+
 def test_odd_hole_cap_exits_two_naming_family(capsys):
     argv = ("forbidden", "--family", "odd_holes_and_antiholes", "--named")
     code, out, err = run(capsys, *argv, "k11")

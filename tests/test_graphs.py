@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -242,6 +243,26 @@ def test_named_rejections():
         cycle_graph(2)
     with pytest.raises(ValueError):
         complete_bipartite(0, 3)
+
+
+def test_oversized_named_graphs_fail_before_building_edges():
+    # The vertex count is checked before any edge is read, so an oversized
+    # named graph costs nothing; an edge list built first would take
+    # hundreds of MB and seconds at these sizes.
+    for make in (
+        lambda: path_graph(3000),
+        lambda: cycle_graph(3000),
+        lambda: complete_graph(3000),
+        lambda: complete_bipartite(1500, 1500),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="vertex count"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

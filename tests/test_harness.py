@@ -157,9 +157,10 @@ def test_sweep_with_worker_pool_matches_serial(monkeypatch):
         parallel = sweep(theorem, n_max, jobs=2)
         assert serial.checked == parallel.checked, theorem
         assert serial.violations == parallel.violations, theorem
-    # No sweep reports a violation, so the rows themselves are compared.
+    # No sweep reports a violation, so the rows themselves are compared:
+    # each carries its flags and the detail its check returned in a worker.
     with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
-        for theorem in PAIR_SWEEPS:
+        for theorem in sorted(harness._TARGETS):
             pooled = list(harness._table_rows(theorem, 5, pool))
             assert pooled == list(harness._table_rows(theorem, 5)), theorem
 
@@ -205,7 +206,7 @@ def test_worker_count_is_clamped(monkeypatch):
 def test_violations_capped_at_100(monkeypatch):
     # No real theorem can fail, so the cap is exercised with an injected
     # always-violating target.
-    fake = harness._Target(lambda row: "synthetic violation")
+    fake = harness._Target(lambda g, values, flags: "synthetic violation")
     monkeypatch.setitem(harness._TARGETS, "always_fail", fake)
     result = harness.sweep("always_fail", 6)
     assert result.checked == 208
@@ -220,12 +221,13 @@ def test_violations_capped_at_100(monkeypatch):
 
 def test_table_flags_match_subset_scan_oracle(monkeypatch):
     pairs = tuple(combinations(INVARIANT_CHAIN, 2))
-    monkeypatch.setitem(harness._TARGETS, "all_pairs", harness._Target(lambda row: None, pairs))
+    target = harness._Target(lambda g, values, flags: None, pairs)
+    monkeypatch.setitem(harness._TARGETS, "all_pairs", target)
     classes = 0
-    for g, row in harness._table_rows("all_pairs", 6):
+    for g, (flags, _) in harness._table_rows("all_pairs", 6):
         classes += 1
         for a, b in pairs:
-            assert row.flags[a, b] == is_ab_perfect(g, a, b).perfect, (to_graph6(g), a, b)
+            assert flags[a, b] == is_ab_perfect(g, a, b).perfect, (to_graph6(g), a, b)
     assert len(pairs) == 10 and classes == 208
 
 
@@ -235,9 +237,10 @@ def test_table_flags_match_every_deletion_read_at_7(monkeypatch):
     # invariant solved, every G - v read, no early exit.  A deletion the
     # table skips first changes a flag at n = 7.
     pairs = tuple(combinations(INVARIANT_CHAIN, 2))
-    monkeypatch.setitem(harness._TARGETS, "all_pairs", harness._Target(lambda row: None, pairs))
+    target = harness._Target(lambda g, values, flags: None, pairs)
+    monkeypatch.setitem(harness._TARGETS, "all_pairs", target)
     reference: dict = {}
-    for g, row in harness._table_rows("all_pairs", 7):
+    for g, (got, _) in harness._table_rows("all_pairs", 7):
         values = {name: solve(g) for name, solve in perfectness.INVARIANT_SOLVERS.items()}
         below = [
             reference[canonical_form(induced_subgraph(g, set(range(g.n)) - {v}))]
@@ -248,7 +251,7 @@ def test_table_flags_match_every_deletion_read_at_7(monkeypatch):
             (a, b): values[a] == values[b] and all(h[a, b] for h in below) for a, b in pairs
         }
         reference[canonical_form(g)] = flags
-        assert row.flags == flags, to_graph6(g)
+        assert got == flags, to_graph6(g)
     assert len(reference) == 1252
 
 
@@ -297,22 +300,42 @@ def test_pair_sweeps_solve_only_where_every_deletion_is_perfect(monkeypatch):
     assert len(expected["theorem4", "psi"]) == 79
 
 
-def test_interpolation_gap_matches_has_coloring_per_count():
-    # The gap over the true range chi..high, and over 1..n, where counts
-    # without a coloring of the mode exist, so a gap is really reported.
-    for theorem, high, mode in (
-        ("interpolation_grundy", "gamma", "grundy"),
-        ("interpolation_hhp", "alpha", "proper_complete"),
+def test_interpolation_gap_matches_has_coloring_per_count(monkeypatch):
+    # The detail over the true range chi..high, and over a forced range
+    # from 1, where counts without a coloring of the mode exist, so a gap
+    # is really reported.  The Grundy check reads gamma from its own
+    # search, so only chi is forced there.
+    solve = perfectness.INVARIANT_SOLVERS
+    for theorem, high, mode, label in (
+        ("interpolation_grundy", "gamma", "grundy", "Grundy"),
+        ("interpolation_hhp", "alpha", "proper_complete", "proper complete"),
     ):
-        facts = harness._TARGETS[theorem].facts
-        solve = perfectness.INVARIANT_SOLVERS
+        check = harness._TARGETS[theorem].check
         for n in range(1, 7):
             for g in enumerate_graphs(n):
-                true_range = {"chi": solve["chi"](g), high: solve[high](g)}
-                for values in (true_range, {"chi": 1, high: n}):
-                    counts = range(values["chi"], values[high] + 1)
-                    gap = next((k for k in counts if not has_coloring(g, k, mode)), None)
-                    assert facts(g, values) == (gap,), (theorem, to_graph6(g))
+                top = solve[high](g)
+                forced = {"chi": 1} if high == "gamma" else {"chi": 1, "alpha": n}
+                for values in ({"chi": solve["chi"](g), high: top}, forced):
+                    chi, end = values["chi"], values.get(high, top)
+                    gap = next(
+                        (k for k in range(chi, end + 1) if not has_coloring(g, k, mode)), None
+                    )
+                    want = None
+                    if gap is not None:
+                        want = f"no {label} coloring with {gap} colors (chi={chi}, {high}={end})"
+                    assert check(g, values, {}) == want, (theorem, to_graph6(g))
+    # The HHP check builds one search plan per class for all its counts.
+    plans = []
+    real = solvers._plan
+
+    def counted(g):
+        plans.append(canonical_form(g))
+        return real(g)
+
+    monkeypatch.setattr(harness, "_plan", counted)
+    report = sweep("interpolation_hhp", 6)
+    assert report.checked == 208 and report.passed
+    assert len(plans) == len(set(plans)) == 208
 
 
 def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
@@ -330,8 +353,14 @@ def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
     report = sweep("interpolation_grundy", 6)
     assert report.checked == 208 and report.passed
     assert len(built) == len(set(built)) == 208
-    for g, row in harness._table_rows("interpolation_grundy", 6):
-        assert row.values == {"chi": chromatic_number(g), "gamma": grundy_number(g)}
+    # With chi forced to 1, count 1 is a gap on every class with an edge,
+    # and the detail names the gamma the check read from its set.
+    check = harness._TARGETS["interpolation_grundy"].check
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            if chromatic_number(g) > 1:
+                detail = f"no Grundy coloring with 1 colors (chi=1, gamma={grundy_number(g)})"
+                assert check(g, {"chi": 1}, {}) == detail, to_graph6(g)
 
 
 def _off_by_one(monkeypatch, invariant, victim, delta):
