@@ -139,6 +139,18 @@ def test_alpha_psi_values_are_frozen():
     assert digest.hexdigest() == "64268daa055436f73a3295acbcefeb859144a0f4e3645578ce66dae2d9b10124"
 
 
+def test_grundy_values_witnesses_and_counts_are_frozen():
+    # SHA-256 of "gamma witness feasible-counts" per class over
+    # enumerate_graphs(1..7), in enumeration order; the value was recorded
+    # before the Grundy search moved to bitmask count sets.
+    digest = hashlib.sha256()
+    for g in small_classes(7):
+        value, w = grundy_number(g, witness=True)
+        ks = [k for k in range(1, g.n + 1) if has_coloring(g, k, "grundy")]
+        digest.update(f"{value} {w.colors} {ks}\n".encode())
+    assert digest.hexdigest() == "18d61472d27a2974933142dd052f09317874f2d5a7d3887e7fe64d7ef55b0f2f"
+
+
 def test_chain_holds_small():
     for g in small_classes(5):
         p = profile(g)  # construction validates the chain
