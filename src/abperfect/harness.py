@@ -330,12 +330,14 @@ def _check_hhp(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
 def _check_grundy(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
     """A Grundy coloring exists with every count from chi(G) to gamma(G).
 
-    gamma is by definition the largest count in the reachable set that
+    gamma is by definition the highest bit of the count bitmask that
     answers each count of the gap, so it is read there, not solved by a
     second search.
     """
     counts = _grundy_reachable(g)[(1 << g.n) - 1]
-    return _gap_detail("Grundy", values["chi"], "gamma", max(counts), counts.__contains__)
+    return _gap_detail(
+        "Grundy", values["chi"], "gamma", counts.bit_length() - 1, lambda k: counts >> k & 1
+    )
 
 
 # omega_psi implies omega_alpha implies omega_gamma implies omega_chi

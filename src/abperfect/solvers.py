@@ -2,7 +2,8 @@
 
 clique number      -- branch and bound over adjacency bitsets
 chromatic number   -- iterative deepening k-colorability from the clique bound
-Grundy number      -- memoized chains of maximal independent sets
+Grundy number      -- memoized peeling of maximal independent sets, each
+                      vertex mask's feasible color counts kept as one bitmask
 achromatic and pseudoachromatic numbers
                    -- backtracking over canonically-ordered set partitions
                       with an uncovered-pairs vs. remaining-edges prune
@@ -148,7 +149,8 @@ def chromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Colori
 def _maximal_independent_sets(adj: tuple[int, ...], universe: int) -> list[int]:
     """Masks of all maximal independent sets of the subgraph on ``universe``.
 
-    Bron-Kerbosch with pivoting on the complement; deterministic order.
+    Bron-Kerbosch with pivoting on the complement; the deterministic order
+    fixes which Grundy witness ``grundy_number`` returns.
     """
     out: list[int] = []
 
@@ -174,29 +176,53 @@ def _maximal_independent_sets(adj: tuple[int, ...], universe: int) -> list[int]:
     return out
 
 
-def _grundy_reachable(g: Graph) -> dict[int, frozenset[int]]:
-    """For each reachable vertex mask, the set of feasible Grundy color counts.
+def _grundy_reachable(g: Graph) -> dict[int, int]:
+    """For each reachable vertex mask, its feasible Grundy color counts as one int.
 
-    A coloring is Grundy with first class C1 exactly when C1 is a maximal
-    independent set and the rest is Grundy on the remainder, so feasible
-    counts satisfy counts(S) = {1 + t : M maximal independent in S,
-    t in counts(S minus M)}.
+    Bit t of ``memo[S]`` is set when the subgraph on S has a Grundy
+    coloring with exactly t colors.  A coloring is Grundy with first class
+    C1 exactly when C1 is a maximal independent set and the rest is Grundy
+    on the remainder, so counts(0) = 1 and counts(S) is the OR over maximal
+    independent M in S of counts(S minus M), shifted left by one.  The
+    maximal independent sets are the maximal cliques of the complement,
+    found by Bron-Kerbosch with pivoting over its rows.
     """
-    adj = g.adj
-    memo: dict[int, frozenset[int]] = {0: frozenset({0})}
+    full = (1 << g.n) - 1
+    non = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    memo: dict[int, int] = {0: 1}
 
-    def reach(mask: int) -> frozenset[int]:
+    def bk(rest: int, p: int, x: int) -> int:
+        # rest is the mask less the independent set chosen so far, p the
+        # vertices that may still join it and x those that were tried.
+        if not p:
+            return 0 if x else reach(rest)
+        best, pivot_row = -1, 0
+        px = p | x
+        while px:
+            low = px & -px
+            px ^= low
+            row = non[low.bit_length() - 1]
+            cnt = (p & row).bit_count()
+            if cnt > best:
+                best, pivot_row = cnt, row
+        acc = 0
+        cand = p & ~pivot_row
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = non[low.bit_length() - 1]
+            acc |= bk(rest ^ low, p & row, x & row)
+            p ^= low
+            x |= low
+        return acc
+
+    def reach(mask: int) -> int:
         got = memo.get(mask)
-        if got is not None:
-            return got
-        vals: set[int] = set()
-        for s in _maximal_independent_sets(adj, mask):
-            vals.update(t + 1 for t in reach(mask & ~s))
-        out = frozenset(vals)
-        memo[mask] = out
-        return out
+        if got is None:
+            got = memo[mask] = bk(mask, mask, 0) << 1
+        return got
 
-    reach((1 << g.n) - 1)
+    reach(full)
     return memo
 
 
@@ -205,7 +231,7 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
     check_cap("grundy_number", g.n)
     memo = _grundy_reachable(g)
     full = (1 << g.n) - 1
-    value = max(memo[full])
+    value = memo[full].bit_length() - 1
     if not witness:
         return value
     color = [0] * g.n
@@ -214,7 +240,7 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
     while mask:
         level += 1
         for s in _maximal_independent_sets(g.adj, mask):
-            if need - 1 in memo[mask & ~s]:
+            if memo[mask & ~s] >> (need - 1) & 1:
                 for v in bits(s):
                     color[v] = level
                 mask &= ~s
@@ -372,7 +398,7 @@ def has_coloring(g: Graph, k: int, mode: str) -> bool:
         raise ValueError(f"color count must be in 1..{g.n}, got {k}")
     check_cap(_MODE_SOLVERS[mode], g.n)
     if mode == "grundy":
-        return k in _grundy_reachable(g)[(1 << g.n) - 1]
+        return bool(_grundy_reachable(g)[(1 << g.n) - 1] >> k & 1)
     return _complete_partition(_plan(g), k, proper=mode == "proper_complete") is not None
 
 

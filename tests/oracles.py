@@ -80,9 +80,19 @@ def first_fit_along(g: Graph, order) -> int:
     return max(color.values())
 
 
+def brute_grundy_counts(g: Graph) -> set[int]:
+    """Color counts of first-fit along all n! vertex orderings.
+
+    Every Grundy coloring is the first-fit coloring along the order of its
+    classes, and every first-fit coloring is Grundy, so these are exactly
+    the counts of the Grundy colorings.
+    """
+    return {first_fit_along(g, order) for order in permutations(range(g.n))}
+
+
 def brute_grundy(g: Graph) -> int:
     """Worst-order first-fit over all n! vertex orderings."""
-    return max(first_fit_along(g, order) for order in permutations(range(g.n)))
+    return max(brute_grundy_counts(g))
 
 
 def brute_clique(g: Graph) -> int:

@@ -42,6 +42,7 @@ from oracles import (
     brute_chromatic,
     brute_clique,
     brute_grundy,
+    brute_grundy_counts,
     brute_pseudoachromatic,
     labeled_graphs,
 )
@@ -127,6 +128,13 @@ def test_complete_solvers_match_oracles_at_6():
     for g in enumerate_graphs(6):
         assert achromatic_number(g) == brute_achromatic(g), to_graph6(g)
         assert pseudoachromatic_number(g) == brute_pseudoachromatic(g), to_graph6(g)
+
+
+def test_grundy_counts_match_oracle_at_6():
+    # Every feasible count, not only the largest one.
+    for g in small_classes(6):
+        counts = {k for k in range(1, g.n + 1) if has_coloring(g, k, "grundy")}
+        assert counts == brute_grundy_counts(g), to_graph6(g)
 
 
 def test_alpha_psi_values_are_frozen():
@@ -232,6 +240,29 @@ def test_complete_search_off_label_order():
             perm = rng.sample(range(n), n)
             h = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
             assert (achromatic_number(h), pseudoachromatic_number(h)) == (alpha, psi)
+
+
+def test_grundy_witness_and_chain_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def graph_on(n):
+        pairs = list(combinations(range(n), 2))
+        return st.integers(0, (1 << len(pairs)) - 1).map(
+            lambda code: from_edge_list(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+        )
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @hypothesis.given(st.integers(9, 10).flatmap(graph_on))
+    def check(g):
+        gamma, w = grundy_number(g, witness=True)
+        assert w.k == gamma and is_grundy(g, w)
+        assert has_coloring(g, gamma, "grundy")
+        if gamma < g.n:
+            assert not has_coloring(g, gamma + 1, "grundy")
+        assert profile(g).gamma == gamma  # construction checks the chain
+
+    check()
 
 
 def test_clique_witness():
