@@ -16,14 +16,13 @@ import re
 import sys
 from typing import Any, Callable, NamedTuple
 
-from .forbidden import FAMILIES, FreeReport, family_check
+from .forbidden import FAMILIES, PATTERNS, FreeReport, family_check
 from .graph6 import parse_graph6, parse_graph6_lines
 from .graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     k44_c7_graph,
     path_graph,
@@ -50,11 +49,8 @@ def _named_graph(token: str) -> Graph:
     t = token.strip().lower()
     if t == "fig2":
         return k44_c7_graph()
-    if t == "p3+k2":
-        return disjoint_union(path_graph(3), complete_graph(2))
-    if t == "3k2":
-        k2 = complete_graph(2)
-        return disjoint_union(disjoint_union(k2, k2), k2)
+    if t in ("p3+k2", "3k2"):
+        return PATTERNS[t.upper()].graph
     bipartite = re.fullmatch(r"k(\d+),(\d+)", t)
     if bipartite:
         return complete_bipartite(int(bipartite.group(1)), int(bipartite.group(2)))

@@ -36,20 +36,13 @@ class Pattern:
         check_cap("is_isomorphic", self.graph.n)
 
 
-def _p3_plus_k2() -> Graph:
-    return disjoint_union(path_graph(3), complete_graph(2))
-
-
-def _three_k2() -> Graph:
-    g = complete_graph(2)
-    return disjoint_union(disjoint_union(g, g), g)
-
+_K2 = complete_graph(2)
 
 PATTERNS: dict[str, Pattern] = {
     "C4": Pattern("C4", cycle_graph(4)),
     "P4": Pattern("P4", path_graph(4)),
-    "P3+K2": Pattern("P3+K2", _p3_plus_k2()),
-    "3K2": Pattern("3K2", _three_k2()),
+    "P3+K2": Pattern("P3+K2", disjoint_union(path_graph(3), _K2)),
+    "3K2": Pattern("3K2", disjoint_union(disjoint_union(_K2, _K2), _K2)),
 }
 
 # Finite families scan their members in the listed order.

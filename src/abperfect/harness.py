@@ -43,7 +43,6 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     is_connected,
-    path_graph,
     universal_vertices,
 )
 from .perfectness import (
@@ -353,23 +352,17 @@ def _check_figure3_inclusions(g: Graph, values: dict[str, int], flags: Flags) ->
 
 # Witnesses that the inclusions between perfectness classes are strict:
 # each graph is perfect for the first pair and imperfect for the second.
-SEPARATION_WITNESSES: tuple[tuple[str, Callable[[], Graph], tuple[str, str], tuple[str, str]], ...] = (
-    ("P4", lambda: path_graph(4), ("omega", "chi"), ("omega", "gamma")),
-    ("C4", lambda: cycle_graph(4), ("omega", "alpha"), ("omega", "psi")),
-    ("C5", lambda: cycle_graph(5), ("alpha", "psi"), ("omega", "chi")),
-    (
-        "P3+K2",
-        lambda: disjoint_union(path_graph(3), complete_graph(2)),
-        ("omega", "gamma"),
-        ("omega", "alpha"),
-    ),
+SEPARATION_WITNESSES: tuple[tuple[str, Graph, tuple[str, str], tuple[str, str]], ...] = (
+    ("P4", PATTERNS["P4"].graph, ("omega", "chi"), ("omega", "gamma")),
+    ("C4", PATTERNS["C4"].graph, ("omega", "alpha"), ("omega", "psi")),
+    ("C5", cycle_graph(5), ("alpha", "psi"), ("omega", "chi")),
+    ("P3+K2", PATTERNS["P3+K2"].graph, ("omega", "gamma"), ("omega", "alpha")),
 )
 
 
 def _sweep_figure3_witnesses(violations: list[tuple[str, str]]) -> int:
     checked = 0
-    for name, make, perfect_pair, imperfect_pair in SEPARATION_WITNESSES:
-        g = make()
+    for name, g, perfect_pair, imperfect_pair in SEPARATION_WITNESSES:
         checked += 1
         got_perfect = is_ab_perfect(g, *perfect_pair).perfect
         got_imperfect = is_ab_perfect(g, *imperfect_pair).perfect

@@ -167,26 +167,6 @@ class StructureTree:
         }
 
 
-def _complete(m: int) -> StructureTree:
-    return StructureTree("complete", m=m)
-
-
-def _empty_part(m: int) -> StructureTree:
-    return StructureTree("empty-part", m=m)
-
-
-def _union(children: list[StructureTree]) -> StructureTree:
-    return StructureTree("union", children=tuple(children))
-
-
-def _join(m: int, part: StructureTree) -> StructureTree:
-    return StructureTree("join", m=m, children=(part,))
-
-
-def _rejected(reason: str) -> StructureTree:
-    return StructureTree("rejected", reason=reason)
-
-
 def _is_complete(g: Graph) -> bool:
     return g.edge_count() == g.n * (g.n - 1) // 2
 
@@ -195,23 +175,20 @@ def _classify_disconnected(g: Graph, comps: list[frozenset[int]]) -> StructureTr
     """Sort a disconnected graph into one of the three allowed shapes."""
     nontrivial = [c for c in comps if len(c) >= 2]
     isolated = sum(1 for c in comps if len(c) == 1)
-    if not nontrivial:
-        return _union([_empty_part(isolated)])
-    if len(nontrivial) == 1:
-        sub = induced_subgraph(g, nontrivial[0])
-        children = [_recognize_connected(sub)]
-        if isolated:
-            children.append(_empty_part(isolated))
-        return _union(children)
-    if len(nontrivial) == 2:
-        parts = [induced_subgraph(g, c) for c in nontrivial]
-        if not all(_is_complete(p) for p in parts):
-            return _rejected("two non-trivial components must both be complete")
-        children: list[StructureTree] = [_complete(p.n) for p in parts]
-        if isolated:
-            children.append(_empty_part(isolated))
-        return _union(children)
-    return _rejected(f"{len(nontrivial)} non-trivial components, at most two allowed")
+    if len(nontrivial) > 2:
+        reason = f"{len(nontrivial)} non-trivial components, at most two allowed"
+        return StructureTree("rejected", reason=reason)
+    parts = [induced_subgraph(g, c) for c in nontrivial]
+    if len(parts) == 1:
+        children = [_recognize_connected(parts[0])]
+    elif all(_is_complete(p) for p in parts):
+        children = [StructureTree("complete", m=p.n) for p in parts]
+    else:
+        reason = "two non-trivial components must both be complete"
+        return StructureTree("rejected", reason=reason)
+    if isolated:
+        children.append(StructureTree("empty-part", m=isolated))
+    return StructureTree("union", children=tuple(children))
 
 
 def _peel(
@@ -223,15 +200,17 @@ def _peel(
     ``remainder`` shapes the rest from its graph and its components.
     """
     if _is_complete(g):
-        return _complete(g.n)
+        return StructureTree("complete", m=g.n)
     apex = universal_vertices(g)
     if not apex:
-        return _rejected("connected, not complete, and no universal vertex")
+        reason = "connected, not complete, and no universal vertex"
+        return StructureTree("rejected", reason=reason)
     rest = induced_subgraph(g, sorted(set(range(g.n)) - apex))
     comps = connected_components(rest)
     if len(comps) == 1:
-        return _rejected("remainder after peeling universal vertices is connected")
-    return _join(len(apex), remainder(rest, comps))
+        reason = "remainder after peeling universal vertices is connected"
+        return StructureTree("rejected", reason=reason)
+    return StructureTree("join", m=len(apex), children=(remainder(rest, comps),))
 
 
 def _recognize_connected(g: Graph) -> StructureTree:
@@ -251,7 +230,8 @@ def recognize_structure(g: Graph) -> StructureTree:
 
 
 def _decompose_components(g: Graph, comps: list[frozenset[int]]) -> StructureTree:
-    return _union([_peel(induced_subgraph(g, c), _decompose_components) for c in comps])
+    parts = tuple(_peel(induced_subgraph(g, c), _decompose_components) for c in comps)
+    return StructureTree("union", children=parts)
 
 
 def decompose_trivially_perfect(g: Graph) -> StructureTree:

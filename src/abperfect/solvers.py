@@ -13,9 +13,10 @@ approximate answer would poison the theorem sweeps built on these solvers.
 Search order is fixed so witnesses are deterministic: the chromatic search takes
 vertices ascending, the complete-coloring search takes them by descending
 degree with ties broken by label, both try colors ascending, and the
-Grundy search takes independent sets in ascending bit order.  Complete
-colorings come back in vertex labels with colors numbered by first
-occurrence.
+Grundy search lists maximal independent sets from one Bron-Kerbosch that
+pivots on the first vertex of p|x with the most candidates and tries the
+other candidates in ascending bit order.  Complete colorings come back in
+vertex labels with colors numbered by first occurrence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .colorings import Coloring
-from .graphs import Graph, bits, check_cap
+from .graphs import Graph, bits, check_cap, complement
 
 # has_coloring decides each mode with the search of this solver, under its cap.
 _MODE_SOLVERS = {
@@ -146,33 +147,43 @@ def chromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Colori
 # ---------------------------------------------------------------------------
 
 
-def _maximal_independent_sets(adj: tuple[int, ...], universe: int) -> list[int]:
-    """Masks of all maximal independent sets of the subgraph on ``universe``.
+def _maximal_independent_sets(
+    non: tuple[int, ...], p: int, x: int = 0, chosen: int = 0, out: list[int] | None = None
+) -> list[int]:
+    """Called as ``(non, mask)``: the maximal independent sets of the subgraph
+    on ``mask``, as masks, each once.
 
-    Bron-Kerbosch with pivoting on the complement; the deterministic order
-    fixes which Grundy witness ``grundy_number`` returns.
+    ``non`` holds the complement's rows, so these are its maximal cliques,
+    found by Bron-Kerbosch with pivoting.  In the recursion ``chosen`` is
+    the set built so far, ``p`` the vertices that may still join it, ``x``
+    those already tried, and ``out`` collects the sets.  The pivot is the
+    first vertex of p|x whose row holds the most of p; the other candidates
+    are tried in ascending bit order.  This order fixes which Grundy witness
+    ``grundy_number`` returns.
     """
-    out: list[int] = []
-
-    def nonadj(v: int) -> int:
-        return universe & ~adj[v] & ~(1 << v)
-
-    def bk(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot, pivot_cnt = -1, -1
-        for u in bits(p | x):
-            cnt = (p & nonadj(u)).bit_count()
-            if cnt > pivot_cnt:
-                pivot, pivot_cnt = u, cnt
-        for v in bits(p & ~nonadj(pivot)):
-            nv = nonadj(v)
-            bk(r | (1 << v), p & nv, x & nv)
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk(0, universe, 0)
+    if out is None:
+        out = []
+    if not p:
+        if not x:
+            out.append(chosen)
+        return out
+    best, pivot_row = -1, 0
+    px = p | x
+    while px:
+        low = px & -px
+        px ^= low
+        row = non[low.bit_length() - 1]
+        cnt = (p & row).bit_count()
+        if cnt > best:
+            best, pivot_row = cnt, row
+    cand = p & ~pivot_row
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        row = non[low.bit_length() - 1]
+        _maximal_independent_sets(non, p & row, x & row, chosen | low, out)
+        p ^= low
+        x |= low
     return out
 
 
@@ -183,46 +194,22 @@ def _grundy_reachable(g: Graph) -> dict[int, int]:
     coloring with exactly t colors.  A coloring is Grundy with first class
     C1 exactly when C1 is a maximal independent set and the rest is Grundy
     on the remainder, so counts(0) = 1 and counts(S) is the OR over maximal
-    independent M in S of counts(S minus M), shifted left by one.  The
-    maximal independent sets are the maximal cliques of the complement,
-    found by Bron-Kerbosch with pivoting over its rows.
+    independent M in S of counts(S minus M), shifted left by one.  The sets
+    M come from ``_maximal_independent_sets`` over the complement's rows.
     """
-    full = (1 << g.n) - 1
-    non = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    non = complement(g).adj
     memo: dict[int, int] = {0: 1}
-
-    def bk(rest: int, p: int, x: int) -> int:
-        # rest is the mask less the independent set chosen so far, p the
-        # vertices that may still join it and x those that were tried.
-        if not p:
-            return 0 if x else reach(rest)
-        best, pivot_row = -1, 0
-        px = p | x
-        while px:
-            low = px & -px
-            px ^= low
-            row = non[low.bit_length() - 1]
-            cnt = (p & row).bit_count()
-            if cnt > best:
-                best, pivot_row = cnt, row
-        acc = 0
-        cand = p & ~pivot_row
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            row = non[low.bit_length() - 1]
-            acc |= bk(rest ^ low, p & row, x & row)
-            p ^= low
-            x |= low
-        return acc
 
     def reach(mask: int) -> int:
         got = memo.get(mask)
         if got is None:
-            got = memo[mask] = bk(mask, mask, 0) << 1
+            got = 0
+            for s in _maximal_independent_sets(non, mask):
+                got |= reach(mask ^ s)
+            got = memo[mask] = got << 1
         return got
 
-    reach(full)
+    reach((1 << g.n) - 1)
     return memo
 
 
@@ -234,16 +221,17 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
     value = memo[full].bit_length() - 1
     if not witness:
         return value
+    non = complement(g).adj
     color = [0] * g.n
     mask, need = full, value
     level = 0
     while mask:
         level += 1
-        for s in _maximal_independent_sets(g.adj, mask):
-            if memo[mask & ~s] >> (need - 1) & 1:
+        for s in _maximal_independent_sets(non, mask):
+            if memo[mask ^ s] >> (need - 1) & 1:
                 for v in bits(s):
                     color[v] = level
-                mask &= ~s
+                mask ^= s
                 need -= 1
                 break
     return value, Coloring(tuple(color))

@@ -95,6 +95,17 @@ def brute_grundy(g: Graph) -> int:
     return max(brute_grundy_counts(g))
 
 
+def brute_maximal_independent_sets(g: Graph, mask: int) -> set[int]:
+    """Independent submasks of ``mask`` that no vertex of ``mask`` extends."""
+    out = set()
+    for s in range(mask + 1):
+        if s & ~mask or any(s >> v & 1 and g.adj[v] & s for v in range(g.n)):
+            continue
+        if all(g.adj[v] & s for v in range(g.n) if (mask & ~s) >> v & 1):
+            out.add(s)
+    return out
+
+
 def brute_clique(g: Graph) -> int:
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):

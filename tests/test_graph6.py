@@ -56,6 +56,20 @@ def test_roundtrip_all_classes_to_7():
             assert parse_graph6(to_graph6(g)) == g
 
 
+def test_codec_agrees_with_networkx_to_7():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            line = to_graph6(g)
+            assert nx.to_graph6_bytes(h, header=False) == f"{line}\n".encode()
+            back = nx.from_graph6_bytes(line.encode())
+            assert list(back) == list(range(n))
+            assert parse_graph6(line) == from_edge_list(n, back.edges())
+
+
 def test_roundtrip_all_labeled_to_4():
     for n in range(1, 5):
         for g in labeled_graphs(n):

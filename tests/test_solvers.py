@@ -12,6 +12,7 @@ from abperfect import (
     achromatic_number,
     canonical_form,
     chromatic_number,
+    complement,
     clique_number,
     complete_graph,
     cycle_alpha_psi,
@@ -36,13 +37,14 @@ from abperfect import (
     to_graph6,
 )
 from abperfect.graphs import CAPS
-from abperfect.solvers import _MODE_SOLVERS
+from abperfect.solvers import _MODE_SOLVERS, _maximal_independent_sets
 from oracles import (
     brute_achromatic,
     brute_chromatic,
     brute_clique,
     brute_grundy,
     brute_grundy_counts,
+    brute_maximal_independent_sets,
     brute_pseudoachromatic,
     labeled_graphs,
 )
@@ -135,6 +137,16 @@ def test_grundy_counts_match_oracle_at_6():
     for g in small_classes(6):
         counts = {k for k in range(1, g.n + 1) if has_coloring(g, k, "grundy")}
         assert counts == brute_grundy_counts(g), to_graph6(g)
+
+
+def test_maximal_independent_sets_match_oracle_at_6():
+    # Each maximal independent subset of every vertex mask, listed once.
+    for g in small_classes(6):
+        non = complement(g).adj
+        for mask in range(1 << g.n):
+            found = _maximal_independent_sets(non, mask)
+            assert len(found) == len(set(found)), (to_graph6(g), mask)
+            assert set(found) == brute_maximal_independent_sets(g, mask), (to_graph6(g), mask)
 
 
 def test_alpha_psi_values_are_frozen():
