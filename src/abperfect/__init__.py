@@ -47,7 +47,6 @@ from .harness import (
     sweep,
 )
 from .perfectness import (
-    INVARIANT_CHAIN,
     PerfectnessVerdict,
     StructureTree,
     decompose_trivially_perfect,
@@ -56,6 +55,7 @@ from .perfectness import (
     recognize_structure,
 )
 from .solvers import (
+    INVARIANT_CHAIN,
     ParameterProfile,
     achromatic_number,
     chromatic_number,

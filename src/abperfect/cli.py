@@ -29,13 +29,12 @@ from .graphs import (
 )
 from .harness import THEOREM_IDS, SweepReport, cycle_alpha_psi, sweep
 from .perfectness import (
-    INVARIANT_CHAIN,
     PerfectnessVerdict,
     StructureTree,
     is_ab_perfect,
     recognize_structure,
 )
-from .solvers import profile
+from .solvers import INVARIANT_CHAIN, profile
 
 FORMATS = ("text", "json", "csv")
 
@@ -75,7 +74,7 @@ def _load_graphs(args) -> tuple[list[Graph], bool]:
         return [_named_graph(args.named)], True
     if args.file == "-":
         return list(parse_graph6_lines(sys.stdin)), False
-    with open(args.file, encoding="ascii") as handle:
+    with open(args.file, encoding="ascii", errors="surrogateescape") as handle:
         return list(parse_graph6_lines(handle)), False
 
 

@@ -45,13 +45,10 @@ from .graphs import (
     is_connected,
     universal_vertices,
 )
-from .perfectness import (
+from .perfectness import is_ab_perfect, recognize_structure
+from .solvers import (
     INVARIANT_CHAIN,
     INVARIANT_SOLVERS,
-    is_ab_perfect,
-    recognize_structure,
-)
-from .solvers import (
     _complete_partition,
     _grundy_reachable,
     _plan,
@@ -166,7 +163,7 @@ def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, s
     if target.hypothesis is not None and not target.hypothesis(g):
         return None
     wanted = set(target.invariants).union(*live)
-    values = {name: INVARIANT_SOLVERS[name](g) for name in INVARIANT_CHAIN if name in wanted}
+    values = {name: solve(g) for name, solve in INVARIANT_SOLVERS.items() if name in wanted}
     flags = {(a, b): (a, b) in live and values[a] == values[b] for a, b in target.pairs}
     return flags, target.check(g, values, flags)
 

@@ -2,9 +2,10 @@
 
 A graph is ab-perfect for two invariants a <= b (in the universal chain
 omega, chi, gamma, alpha, psi) when a(H) = b(H) on every induced
-subgraph H.  The checker scans subsets in increasing size then
-lexicographic order, so the first violation it reports is minimal: every
-strictly smaller subset has already passed.  Each subset's relabelled
+subgraph H; the checker solves a and b with the solvers of the invariant
+table ``solvers.INVARIANT_SOLVERS``.  It scans subsets in increasing size
+then lexicographic order, so the first violation it reports is minimal:
+every strictly smaller subset has already passed.  Each subset's relabelled
 adjacency rows are built in O(k) from those of its prefix, one size
 smaller and already scanned, and only two sizes of rows are kept, at most
 C(10, 5) = 252 tuples each.  Many subsets induce the same relabelled
@@ -38,23 +39,7 @@ from .graphs import (
     join,
     universal_vertices,
 )
-from .solvers import (
-    achromatic_number,
-    chromatic_number,
-    clique_number,
-    grundy_number,
-    pseudoachromatic_number,
-)
-
-INVARIANT_CHAIN = ("omega", "chi", "gamma", "alpha", "psi")
-
-INVARIANT_SOLVERS = {
-    "omega": clique_number,
-    "chi": chromatic_number,
-    "gamma": grundy_number,
-    "alpha": achromatic_number,
-    "psi": pseudoachromatic_number,
-}
+from .solvers import INVARIANT_CHAIN, INVARIANT_SOLVERS
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,10 @@ achromatic and pseudoachromatic numbers
                    -- backtracking over canonically-ordered set partitions
                       with an uncovered-pairs vs. remaining-edges prune
 
+``INVARIANT_SOLVERS`` is the invariant table: it maps each invariant's name
+to its solver in chain order, and ``INVARIANT_CHAIN`` is its keys.  The
+ab-perfectness scan, the sweeps and ``profile`` all read it.
+
 Every cap in ``graphs.CAPS`` is a hard error, never a silent fallback: an
 approximate answer would poison the theorem sweeps built on these solvers.
 Search order is fixed so witnesses are deterministic: the chromatic search takes
@@ -54,23 +58,17 @@ class ParameterProfile:
     psi: int
 
     def __post_init__(self):
-        chain = (self.omega, self.chi, self.gamma, self.alpha, self.psi)
+        chain = self.as_tuple()
         if any(x < 1 for x in chain) or any(
             a > b for a, b in zip(chain, chain[1:])
         ):
             raise ValueError(f"invariant chain violated: {chain}")
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.omega, self.chi, self.gamma, self.alpha, self.psi)
+        return tuple(vars(self).values())
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "omega": self.omega,
-            "chi": self.chi,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "psi": self.psi,
-        }
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +388,20 @@ def has_coloring(g: Graph, k: int, mode: str) -> bool:
     return _complete_partition(_plan(g), k, proper=mode == "proper_complete") is not None
 
 
+# One dict object for every reader: a value replaced in place (a test's
+# counting solver, a tracer's span) is seen by the scan, the sweeps and profile.
+INVARIANT_SOLVERS = {
+    "omega": clique_number,
+    "chi": chromatic_number,
+    "gamma": grundy_number,
+    "alpha": achromatic_number,
+    "psi": pseudoachromatic_number,
+}
+
+INVARIANT_CHAIN = tuple(INVARIANT_SOLVERS)
+
+
 def profile(g: Graph) -> ParameterProfile:
     """All five invariants; the chain inequality is asserted on construction."""
     check_cap("profile", g.n)
-    return ParameterProfile(
-        omega=clique_number(g),
-        chi=chromatic_number(g),
-        gamma=grundy_number(g),
-        alpha=achromatic_number(g),
-        psi=pseudoachromatic_number(g),
-    )
+    return ParameterProfile(*(solve(g) for solve in INVARIANT_SOLVERS.values()))

@@ -9,11 +9,14 @@ one layer each.  ``unpruned_levels`` keeps the enumeration loop that
 predates orbit pruning: it uses ``canonical_form`` as its key and is the
 reference for the pruning only.  ``reference_scan`` keeps the subset scan
 of ``is_ab_perfect`` without its memo: it calls the package's solvers on
-every subset and is the reference for the memo only.
+every subset and is the reference for the memo only.  The module also
+holds the input helpers the test modules share, ``small_classes`` and
+``seeded_gnp``.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 from math import factorial, gcd, inf
 
@@ -22,12 +25,25 @@ from abperfect import (
     Graph,
     PerfectnessVerdict,
     canonical_form,
+    enumerate_graphs,
     from_edge_list,
     induced_subgraph,
     is_complete_coloring,
     is_proper,
 )
-from abperfect.perfectness import INVARIANT_SOLVERS
+from abperfect.solvers import INVARIANT_SOLVERS
+
+
+def small_classes(n_max):
+    """One graph per isomorphism class on 1..n_max vertices, by enumeration."""
+    for n in range(1, n_max + 1):
+        yield from enumerate_graphs(n)
+
+
+def seeded_gnp(seed: int, n: int, p: float) -> Graph:
+    """A G(n, p) graph drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def set_partitions(items: list):

@@ -272,10 +272,13 @@ def test_odd_hole_cap_exits_two_naming_family(capsys):
 
 def test_file_with_bad_line_exits_two_naming_it(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bad.g6"
-    path.write_text("Ch\n\nnot graph6 at all\nCh\n")
-    code, out, err = run(capsys, "params", "--file", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: line 3: ")
+    # Non-ASCII bytes are named by their line too, in the header or the bits.
+    bad = ((b"Ch\n\nnot graph6 at all\nCh\n", 3), (b"Ch\nB\xc3\xa9\n", 2), (b"Ch\n\xff\n", 2))
+    for content, line in bad:
+        path.write_bytes(content)
+        code, out, err = run(capsys, "params", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ")
     monkeypatch.setattr("sys.stdin", io.StringIO("Ch\n*nope\n"))
     code, out, err = run(capsys, "recognize", "--file", "-")
     assert (code, out) == (2, "")

@@ -26,12 +26,7 @@ from abperfect import (
     pseudoachromatic_number,
     to_graph6,
 )
-from oracles import brute_contains_induced, brute_odd_hole
-
-
-def small_classes(n_max):
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
+from oracles import brute_contains_induced, brute_odd_hole, small_classes
 
 
 def test_detection_examples():

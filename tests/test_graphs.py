@@ -18,7 +18,6 @@ from abperfect import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_graphs,
     from_edge_list,
     induced_subgraph,
     is_isomorphic,
@@ -29,12 +28,7 @@ from abperfect import (
 )
 from abperfect.graphs import _automorphisms
 from oracles import diameter
-from oracles import brute_automorphism_count, brute_min_code, labeled_graphs
-
-
-def small_classes(n_max):
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
+from oracles import brute_automorphism_count, brute_min_code, labeled_graphs, small_classes
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from abperfect import (
     sweep,
     to_graph6,
 )
-from abperfect import harness, perfectness, solvers
+from abperfect import harness, solvers
 from oracles import isomorphism_class_count, labeled_graphs, unpruned_levels
 
 
@@ -241,7 +241,7 @@ def test_table_flags_match_every_deletion_read_at_7(monkeypatch):
     monkeypatch.setitem(harness._TARGETS, "all_pairs", target)
     reference: dict = {}
     for g, (got, _) in harness._table_rows("all_pairs", 7):
-        values = {name: solve(g) for name, solve in perfectness.INVARIANT_SOLVERS.items()}
+        values = {name: solve(g) for name, solve in solvers.INVARIANT_SOLVERS.items()}
         below = [
             reference[canonical_form(induced_subgraph(g, set(range(g.n)) - {v}))]
             for v in range(g.n)
@@ -282,13 +282,13 @@ def test_pair_sweeps_solve_only_where_every_deletion_is_perfect(monkeypatch):
                         expected.setdefault((theorem, name), set()).add(canonical_form(g))
 
     solved: dict = {}
-    for name, solver in list(perfectness.INVARIANT_SOLVERS.items()):
+    for name, solver in list(solvers.INVARIANT_SOLVERS.items()):
 
         def counted(g, name=name, solver=solver):
             solved.setdefault(name, []).append(canonical_form(g))
             return solver(g)
 
-        monkeypatch.setitem(perfectness.INVARIANT_SOLVERS, name, counted)
+        monkeypatch.setitem(solvers.INVARIANT_SOLVERS, name, counted)
     for theorem in ("theorem4", "figure3_inclusions"):
         solved.clear()
         for _ in harness._table_rows(theorem, 6):
@@ -305,7 +305,7 @@ def test_interpolation_gap_matches_has_coloring_per_count(monkeypatch):
     # from 1, where counts without a coloring of the mode exist, so a gap
     # is really reported.  The Grundy check reads gamma from its own
     # search, so only chi is forced there.
-    solve = perfectness.INVARIANT_SOLVERS
+    solve = solvers.INVARIANT_SOLVERS
     for theorem, high, mode, label in (
         ("interpolation_grundy", "gamma", "grundy", "Grundy"),
         ("interpolation_hhp", "alpha", "proper_complete", "proper complete"),
@@ -365,14 +365,14 @@ def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
 
 def _off_by_one(monkeypatch, invariant, victim, delta):
     """Make the table's solver for ``invariant`` wrong by ``delta`` on victim's class."""
-    real = perfectness.INVARIANT_SOLVERS[invariant]
+    real = solvers.INVARIANT_SOLVERS[invariant]
     key = canonical_form(victim)
 
     def broken(g, *args, **kwargs):
         value = real(g, *args, **kwargs)
         return value + delta if g.n == victim.n and canonical_form(g) == key else value
 
-    monkeypatch.setitem(perfectness.INVARIANT_SOLVERS, invariant, broken)
+    monkeypatch.setitem(solvers.INVARIANT_SOLVERS, invariant, broken)
 
 
 def test_table_sweeps_do_not_assume_the_theorem(monkeypatch):

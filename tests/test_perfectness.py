@@ -27,15 +27,10 @@ from abperfect import (
     recognize_structure,
     to_graph6,
 )
-from abperfect.perfectness import INVARIANT_SOLVERS
-from oracles import reference_scan
+from abperfect.solvers import INVARIANT_SOLVERS
+from oracles import reference_scan, seeded_gnp, small_classes
 
 PAIRS = tuple(combinations(INVARIANT_CHAIN, 2))
-
-
-def small_classes(n_max):
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +108,6 @@ def test_verdict_serialization():
         "perfect": True,
         "counterexample": None,
     }
-
-
-def seeded_gnp(seed, n, p):
-    rng = random.Random(seed)
-    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def _shape(rng, n, connected):

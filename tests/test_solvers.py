@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
 
 from abperfect import (
+    INVARIANT_CHAIN,
     CapacityError,
     ParameterProfile,
     achromatic_number,
@@ -47,12 +49,9 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_pseudoachromatic,
     labeled_graphs,
+    seeded_gnp,
+    small_classes,
 )
-
-
-def small_classes(n_max):
-    for n in range(1, n_max + 1):
-        yield from enumerate_graphs(n)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +108,10 @@ def test_profile_examples():
 def test_profile_chain_is_validated():
     with pytest.raises(ValueError):
         ParameterProfile(omega=3, chi=2, gamma=3, alpha=3, psi=3)
+
+
+def test_profile_fields_follow_the_invariant_chain():
+    assert tuple(f.name for f in fields(ParameterProfile)) == INVARIANT_CHAIN
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +228,6 @@ def test_witnesses_validate():
         # witnesses number their classes by the Grundy order instead.
         for w in (proper_w, achro_w, complete_w):
             assert opens_in_vertex_order(w), (to_graph6(g), w)
-
-
-def seeded_gnp(seed: int, n: int, p: float):
-    rng = random.Random(seed)
-    return from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
 def test_complete_search_off_label_order():
