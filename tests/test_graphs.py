@@ -70,12 +70,18 @@ def test_graph_is_immutable():
 
 def test_adjacency_invariants_enforced_by_constructor():
     # Symmetry / irreflexivity are enforced in Graph.__init__ itself.
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (1,))  # loop
-    with pytest.raises(ValueError):
-        Graph(2, (0b110, 0b1))  # label 2 out of range
+    with pytest.raises(ValueError, match="asymmetric adjacency between 1 and 0"):
+        Graph(2, (0b10, 0))
+    with pytest.raises(ValueError, match="loop at vertex 0"):
+        Graph(1, (1,))
+    with pytest.raises(ValueError, match="adjacency of vertex 0 mentions labels >= 2"):
+        Graph(2, (0b110, 0b1))
+    with pytest.raises(ValueError, match="expected 2 adjacency rows, got 1"):
+        Graph(2, (0b10,))
+    with pytest.raises(CapacityError, match=r"vertex count must be in 1\.\.32, got 0"):
+        Graph(0, ())
+    with pytest.raises(CapacityError, match=r"vertex count must be in 1\.\.32, got 33"):
+        Graph(33, (0,) * 33)
 
 
 # ---------------------------------------------------------------------------

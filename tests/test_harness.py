@@ -21,6 +21,8 @@ from abperfect import (
     chromatic_number,
     complete_graph,
     cycle_alpha_psi,
+    cycle_graph,
+    empty_graph,
     enumerate_graphs,
     grundy_number,
     has_coloring,
@@ -390,6 +392,27 @@ def test_table_sweeps_do_not_assume_the_theorem(monkeypatch):
         detail == "inclusion omega_psi -> omega_alpha violated"
         for _, detail in figure3.violations
     )
+    # C5 contains P4, now imperfect for (alpha, psi), so the C5 witness fails.
+    assert figure3.violations[-1] == (to_graph6(cycle_graph(5)), "witness C5 not alpha-psi-perfect")
+
+
+def test_cs_sweeps_and_witnesses_report_an_off_by_one(monkeypatch):
+    # gamma(P4) = 3 read as 2 makes P4 omega-gamma-perfect although it is
+    # not P4-free, and makes the P4 witness perfect for the pair it must
+    # fail; alpha(P4) read as 2 breaks theorem2_cs the same way.
+    p4 = to_graph6(harness._canonical_level(4)[canonical_form(path_graph(4))])
+    with monkeypatch.context() as patch:
+        _off_by_one(patch, "gamma", path_graph(4), -1)
+        assert sweep("theorem1_cs", 4).violations == [
+            (p4, "omega_gamma=True chi_gamma=True p4_free=False")
+        ]
+        assert sweep("figure3_inclusions", 4).violations == [
+            (to_graph6(path_graph(4)), "witness P4 unexpectedly omega-gamma-perfect")
+        ]
+    _off_by_one(monkeypatch, "alpha", path_graph(4), -1)
+    assert sweep("theorem2_cs", 4).violations == [
+        (p4, "omega_alpha=True chi_alpha=True triple_free=False")
+    ]
 
 
 def test_eq1_chain_reports_a_broken_chain(monkeypatch):
@@ -398,6 +421,24 @@ def test_eq1_chain_reports_a_broken_chain(monkeypatch):
     assert result.checked == 18
     assert result.violations == [
         (to_graph6(complete_graph(3)), "chain violated: omega=3 chi=3 gamma=2 alpha=3 psi=3")
+    ]
+
+
+def test_lemma_sweeps_report_a_broken_helper(monkeypatch):
+    # lemma1 reads universal vertices and lemma2 psi from the names that
+    # harness imported; breaking each must surface as its detail.
+    monkeypatch.setattr(harness, "universal_vertices", lambda g: [])
+    lemma1 = sweep("lemma1", 3)
+    assert lemma1.checked == 4
+    assert [detail for _, detail in lemma1.violations] == [
+        "connected (C4,P4)-free graph without a universal vertex"
+    ] * 4
+    psi = harness.pseudoachromatic_number
+    monkeypatch.setattr(harness, "pseudoachromatic_number", lambda g: psi(g) + 1)
+    lemma2 = sweep("lemma2", 2)
+    assert lemma2.checked == 1
+    assert lemma2.violations == [
+        (to_graph6(empty_graph(2)), "m1=1 m2=1 t=0: omega=1 psi=2 expected 1")
     ]
 
 
