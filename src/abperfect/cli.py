@@ -225,28 +225,15 @@ _CYCLE = _Kind(("n", "alpha", "psi", "predicted_equal", "equal"), _pairs, lambda
 # ---------------------------------------------------------------------------
 
 
-def _cmd_params(args) -> int:
-    graphs, single = _load_graphs(args)
-    _show(args.format, _PROFILE, [profile(g) for g in graphs], single)
-    return 0
+def _per_graph(kind: _Kind, solve: Callable[[Graph, Any], Any]) -> Callable[[Any], int]:
+    """A subcommand that prints ``solve(g, args)`` for each input graph as ``kind``."""
 
+    def run(args) -> int:
+        graphs, single = _load_graphs(args)
+        _show(args.format, kind, [solve(g, args) for g in graphs], single)
+        return 0
 
-def _cmd_check(args) -> int:
-    graphs, single = _load_graphs(args)
-    _show(args.format, _VERDICT, [is_ab_perfect(g, args.a, args.b) for g in graphs], single)
-    return 0
-
-
-def _cmd_recognize(args) -> int:
-    graphs, single = _load_graphs(args)
-    _show(args.format, _TREE, [recognize_structure(g) for g in graphs], single)
-    return 0
-
-
-def _cmd_forbidden(args) -> int:
-    graphs, single = _load_graphs(args)
-    _show(args.format, _FREE, [family_check(g, args.family) for g in graphs], single)
-    return 0
+    return run
 
 
 def _cmd_sweep(args) -> int:
@@ -276,25 +263,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="compute the five invariants")
     _add_source_flags(p_params)
     _add_format_flag(p_params)
-    p_params.set_defaults(func=_cmd_params)
+    p_params.set_defaults(func=_per_graph(_PROFILE, lambda g, args: profile(g)))
 
     p_check = sub.add_parser("check", help="ab-perfectness with minimal counterexample")
     p_check.add_argument("--a", choices=INVARIANT_CHAIN, required=True)
     p_check.add_argument("--b", choices=INVARIANT_CHAIN, required=True)
     _add_source_flags(p_check)
     _add_format_flag(p_check)
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(
+        func=_per_graph(_VERDICT, lambda g, args: is_ab_perfect(g, args.a, args.b))
+    )
 
     p_rec = sub.add_parser("recognize", help="structural decomposition")
     _add_source_flags(p_rec)
     _add_format_flag(p_rec)
-    p_rec.set_defaults(func=_cmd_recognize)
+    p_rec.set_defaults(func=_per_graph(_TREE, lambda g, args: recognize_structure(g)))
 
     p_forb = sub.add_parser("forbidden", help="forbidden-family scan")
     p_forb.add_argument("--family", choices=sorted(FAMILIES), required=True)
     _add_source_flags(p_forb)
     _add_format_flag(p_forb)
-    p_forb.set_defaults(func=_cmd_forbidden)
+    p_forb.set_defaults(func=_per_graph(_FREE, lambda g, args: family_check(g, args.family)))
 
     p_sweep = sub.add_parser("sweep", help="verify one theorem over all small graphs")
     p_sweep.add_argument("--theorem", choices=THEOREM_IDS, required=True)

@@ -5,13 +5,15 @@ the pattern: hosts here have at most 13 vertices and the fixed patterns at
 most 6, so C(13,6) ~ 1716 subsets is negligible and the approach is
 transparent.  Patterns are capped as the isomorphism test is.
 Witnesses are the lexicographically smallest hitting subset, which makes
-every report deterministic.
+every report deterministic.  ``family_check`` scans every family in one
+loop over its patterns, the odd holes and antiholes by ascending length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .graphs import (
     Graph,
@@ -96,25 +98,21 @@ def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
     return None
 
 
-def _odd_hole_scan(g: Graph) -> tuple[str, frozenset[int]] | None:
-    """First induced odd cycle of length >= 5 in g or in its complement.
+def _scan_order(g: Graph, family: str) -> Iterator[Pattern]:
+    """The patterns of ``family`` to find in g, in scan order.
 
-    Scan order: ascending length, hole before antihole at each length.
-    The cap depends on g.n alone and is checked before the scan, so a host
-    over it raises even when it has a short hole: the longest hole tried
-    has g.n vertices, and every pattern is matched by ``is_isomorphic``.
+    Odd holes and antiholes go by ascending length up to g.n, hole before
+    antihole at each length.  Their cap depends on g.n alone and is
+    checked before the scan, so a host over it raises even with a short hole.
     """
+    if family != "odd_holes_and_antiholes":
+        yield from (PATTERNS[name] for name in FAMILIES[family])
+        return
     check_cap("odd_holes_and_antiholes", g.n)
-    co = complement(g)
     for length in range(5, g.n + 1, 2):
-        pattern = Pattern("C2k+1", cycle_graph(length))
-        hit = contains_induced(g, pattern)
-        if hit is not None:
-            return ("C2k+1", hit)
-        hit = contains_induced(co, pattern)
-        if hit is not None:
-            return ("co-C2k+1", hit)
-    return None
+        hole = cycle_graph(length)
+        yield Pattern("C2k+1", hole)
+        yield Pattern("co-C2k+1", complement(hole))
 
 
 def family_check(g: Graph, family: str) -> FreeReport:
@@ -122,10 +120,8 @@ def family_check(g: Graph, family: str) -> FreeReport:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {sorted(FAMILIES)}")
     members = FAMILIES[family]
-    if family == "odd_holes_and_antiholes":
-        return FreeReport(members, _odd_hole_scan(g))
-    for name in members:
-        hit = contains_induced(g, PATTERNS[name])
+    for pattern in _scan_order(g, family):
+        hit = contains_induced(g, pattern)
         if hit is not None:
-            return FreeReport(members, (name, hit))
+            return FreeReport(members, (pattern.name, hit))
     return FreeReport(members, None)

@@ -13,10 +13,11 @@ A sweep walks those classes bottom-up, and the theorem is one check per
 class over the graph, its solved invariants and its ab-perfect flags,
 run where the class is solved.  The flags are hereditary first: a
 class's one-vertex deletions are read one level down, its enumeration
-parent first, and a pair is solved on the class only while every
-deletion read so far is perfect for it.  Sweeps stop collecting after
-100 violations and are deterministic: identical reports (elapsed time
-aside) across runs and across worker counts.
+parent first, through one dict per level from rows to canonical form
+that starts with the representatives there, and a pair is solved on the
+class only while every deletion read so far is perfect for it.  Sweeps
+stop collecting after 100 violations and are deterministic: identical
+reports (elapsed time aside) across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -168,46 +169,36 @@ def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, s
     return flags, target.check(g, values, flags)
 
 
-@lru_cache(maxsize=1 << 16)
-def _deletion_class(rows: tuple[int, ...]) -> bytes:
-    """Canonical form of the one-vertex deletion with adjacency ``rows``.
-
-    Classes of one level share most of their labelled deletions:
-    figure3_inclusions up to 7 vertices reads 6,520 deletions but only
-    1,554 distinct ones, so a bounded memo skips most canonical labelling.
-    """
-    return canonical_form(_trusted(len(rows), rows))
-
-
 def _live_pairs(
     g: Graph,
     pairs: tuple[Pair, ...],
-    parent_flags: dict[tuple[int, ...], Flags],
     below: dict[bytes, Flags],
+    labels: dict[tuple[int, ...], bytes],
 ) -> tuple[Pair, ...]:
     """The pairs for which every one-vertex deletion of g is perfect.
 
-    g - (n-1) is g's enumeration parent: masking bit n-1 out of the other
-    rows gives the parent's own rows, so its flags are read first with no
-    labelling.  The other deletions are built by shifting the higher bits
-    of each row down one place, and labelled one at a time only while some
-    pair is still alive.
+    Each deletion g - v is built by shifting the higher bits of each row
+    down one place and found in ``below`` by its canonical form, which
+    ``labels`` maps from its rows, labelling it on a miss.  g - (n-1) is
+    g's enumeration parent, a representative one level down whose rows
+    ``labels`` starts with, so it is read first and never labelled.  The
+    other deletions are read only while some pair is still alive.
     """
     n = g.n
-    if n == 1 or not pairs:
+    if n == 1:
         return pairs
-    rows = g.adj
-    top = (1 << (n - 1)) - 1
-    flags = parent_flags[tuple(row & top for row in rows[:-1])]
-    live = tuple(pair for pair in pairs if flags[pair])
-    for v in range(n - 1):
+    live = pairs
+    for v in (n - 1, *range(n - 1)):
         if not live:
             break
         low = (1 << v) - 1
         deleted = tuple(
-            (row & low) | (row >> (v + 1) << v) for u, row in enumerate(rows) if u != v
+            (row & low) | (row >> (v + 1) << v) for u, row in enumerate(g.adj) if u != v
         )
-        flags = below[_deletion_class(deleted)]
+        key = labels.get(deleted)
+        if key is None:
+            key = labels[deleted] = canonical_form(_trusted(n - 1, deleted))
+        flags = below[key]
         live = tuple(pair for pair in live if flags[pair])
     return live
 
@@ -220,18 +211,18 @@ def _table_rows(
     For each level, the calling process first reads the flags of every
     class's deletions from the level below, the only flags the table
     keeps, and finds the pairs still alive; a pair with an imperfect
-    deletion is False without a solve.  The classes are then solved and
-    checked independently, in ``pool`` when given.
+    deletion is False without a solve.  ``labels``, the canonical forms of
+    the level's deletions by their rows, starts with the representatives
+    one level down and is dropped with the level.  The classes are then
+    solved and checked independently, in ``pool`` when given.
     """
     target = _TARGETS[theorem]
     check = partial(_check_row, theorem)
     below: dict[bytes, Flags] = {}
     for n in range(1, n_max + 1):
         graphs = list(enumerate_graphs(n))
-        parent_flags = {}
-        if n > 1 and target.pairs:
-            parent_flags = {h.adj: below[key] for key, h in _canonical_level(n - 1).items()}
-        lives = [_live_pairs(g, target.pairs, parent_flags, below) for g in graphs]
+        labels = {h.adj: key for key, h in _canonical_level(n - 1).items()} if n > 1 else {}
+        lives = [_live_pairs(g, target.pairs, below, labels) for g in graphs]
         if pool is None:
             results = map(check, graphs, lives)
         else:
@@ -358,23 +349,14 @@ SEPARATION_WITNESSES: tuple[tuple[str, Graph, tuple[str, str], tuple[str, str]],
 
 
 def _sweep_figure3_witnesses(violations: list[tuple[str, str]]) -> int:
-    checked = 0
     for name, g, perfect_pair, imperfect_pair in SEPARATION_WITNESSES:
-        checked += 1
-        got_perfect = is_ab_perfect(g, *perfect_pair).perfect
-        got_imperfect = is_ab_perfect(g, *imperfect_pair).perfect
-        if not got_perfect:
-            violations.append(
-                (to_graph6(g), f"witness {name} not {perfect_pair[0]}-{perfect_pair[1]}-perfect")
-            )
-        if got_imperfect:
-            violations.append(
-                (
-                    to_graph6(g),
-                    f"witness {name} unexpectedly {imperfect_pair[0]}-{imperfect_pair[1]}-perfect",
-                )
-            )
-    return checked
+        for (a, b), expected, wrong in (
+            (perfect_pair, True, "not"),
+            (imperfect_pair, False, "unexpectedly"),
+        ):
+            if is_ab_perfect(g, a, b).perfect != expected:
+                violations.append((to_graph6(g), f"witness {name} {wrong} {a}-{b}-perfect"))
+    return len(SEPARATION_WITNESSES)
 
 
 _TARGETS: dict[str, _Target] = {

@@ -302,6 +302,26 @@ def test_pair_sweeps_solve_only_where_every_deletion_is_perfect(monkeypatch):
     assert len(expected["theorem4", "psi"]) == 79
 
 
+def test_pair_sweep_labels_each_deletion_at_most_once(monkeypatch):
+    # A deletion with the rows of a representative one level down is read
+    # by those rows, the enumeration parent among them; any other is
+    # labelled once per sweep.  The enumeration is warmed first, so every
+    # canonical_form call that harness makes here labels a deletion.
+    harness._canonical_level(7)
+    representatives = {h.adj for n in range(1, 7) for h in harness._canonical_level(n).values()}
+    labelled = []
+    real = harness.canonical_form
+
+    def counted(g):
+        labelled.append(g.adj)
+        return real(g)
+
+    monkeypatch.setattr(harness, "canonical_form", counted)
+    assert sweep("theorem4", 7).passed
+    assert not representatives.intersection(labelled)
+    assert len(set(labelled)) == len(labelled) == 182
+
+
 def test_interpolation_gap_matches_has_coloring_per_count(monkeypatch):
     # The detail over the true range chi..high, and over a forced range
     # from 1, where counts without a coloring of the mode exist, so a gap
