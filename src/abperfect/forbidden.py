@@ -102,8 +102,9 @@ def _scan_order(g: Graph, family: str) -> Iterator[Pattern]:
     """The patterns of ``family`` to find in g, in scan order.
 
     Odd holes and antiholes go by ascending length up to g.n, hole before
-    antihole at each length.  Their cap depends on g.n alone and is
-    checked before the scan, so a host over it raises even with a short hole.
+    antihole at each length.  The longest has g.n vertices, so their cap
+    depends on g.n alone; it is checked before the scan, and a host over
+    it raises even with a short hole.
     """
     if family != "odd_holes_and_antiholes":
         yield from (PATTERNS[name] for name in FAMILIES[family])

@@ -13,9 +13,10 @@ A sweep walks those classes bottom-up, and the theorem is one check per
 class over the graph, its solved invariants and its ab-perfect flags,
 run where the class is solved.  The flags are hereditary first: a
 class's one-vertex deletions are read one level down, its enumeration
-parent first, through one dict per level from rows to canonical form
-that starts with the representatives there, and a pair is solved on the
-class only while every deletion read so far is perfect for it.  Sweeps
+parent first, and a pair is solved on the class only while every
+deletion read so far is perfect for it.  One dict per level maps a
+deletion's rows to its canonical form, starting with the representatives
+one level down, so a sweep labels each deletion at most once.  Sweeps
 stop collecting after 100 violations and are deterministic: identical
 reports (elapsed time aside) across runs and across worker counts.
 """
