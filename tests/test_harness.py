@@ -413,7 +413,8 @@ def test_table_sweeps_do_not_assume_the_theorem(monkeypatch):
         for _, detail in figure3.violations
     )
     # C5 contains P4, now imperfect for (alpha, psi), so the C5 witness fails.
-    assert figure3.violations[-1] == (to_graph6(cycle_graph(5)), "witness C5 not alpha-psi-perfect")
+    c5_witness = (to_graph6(cycle_graph(5)), "witness C5 not alpha-psi-perfect")
+    assert figure3.violations[-1] == c5_witness
 
 
 def test_cs_sweeps_and_witnesses_report_an_off_by_one(monkeypatch):
