@@ -5,9 +5,11 @@ new vertex with every possible neighborhood and dedups by canonical
 form.  Every isomorphism class on n vertices arises this way: delete any
 vertex of a member, map the rest onto its class representative, and the
 deleted vertex's neighborhood gives the extension mask.  Each class is
-represented by its first child; neighborhoods that an automorphism of
-the parent maps to an earlier one give children that are never first,
-so they are skipped without labelling them.
+represented by its first child.  Two rules skip children that are never
+first without labelling them: a neighborhood that an automorphism of the
+parent maps to an earlier one, and a child with a deletion whose degree
+multiset only parents before its own have, so that an earlier parent
+already produced its class.
 
 A sweep walks those classes bottom-up, and the theorem is one check per
 class over the graph, its solved invariants and its ab-perfect flags,
@@ -86,23 +88,66 @@ def _extension_masks(parent: Graph) -> list[int]:
     return [mask for mask in masks if all(image[mask] >= mask for image in images)]
 
 
+def _degree_weights(rows: tuple[int, ...]) -> list[int]:
+    """16^deg(v) for each vertex v: their sum codes the degree multiset."""
+    return [1 << 4 * row.bit_count() for row in rows]
+
+
+def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -> bool:
+    """Whether the child g with these rows, built from parent ``index``, is never first.
+
+    ``last`` maps each degree code, the sum of ``_degree_weights``, to the
+    largest index of a representative one level down with that code.  The code of g - v is
+    g's code less 16^deg(v) and, for each neighbour u of v,
+    16^deg(u) - 16^(deg(u)-1).  When every representative with that code
+    comes before ``index``, g - v is isomorphic to an earlier parent, and
+    that parent, extended by every mask, has a child isomorphic to g
+    before any child of parent ``index``.  The code only has to be an
+    isomorphism invariant: two degree multisets sharing a code would only
+    raise ``last``.  g - (n-1) is the parent itself and is not tested.
+    """
+    weights = _degree_weights(rows)
+    code = sum(weights)
+    drops = [weight - (weight >> 4) for weight in weights]
+    for v in range(len(rows) - 1):
+        row = rows[v]
+        lost = weights[v]
+        while row:
+            low = row & -row
+            lost += drops[low.bit_length() - 1]
+            row ^= low
+        if last[code - lost] < index:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def _canonical_level(n: int) -> dict[bytes, Graph]:
     """One representative per isomorphism class on n vertices, keyed by canonical form.
 
     Each class keeps its first child in parent order and then mask order;
-    pruning skips only children that are never first.
+    pruning skips only children that are never first.  Orbit pruning
+    (``_extension_masks``) skips a mask an automorphism of the parent
+    maps lower; earlier-parent pruning (``_produced_earlier``) skips a
+    child with a deletion isomorphic to an earlier parent.  Together they
+    leave 1, 2, 4, 11, 34, 174, 1,623 and 32,817 children to label at
+    levels 1 to 8, against 79,264 at level 8 with orbit pruning alone.
     """
     if n == 1:
         g = empty_graph(1)
         return {canonical_form(g): g}
+    parents = _canonical_level(n - 1).values()
+    last = {sum(_degree_weights(parent.adj)): i for i, parent in enumerate(parents)}
     seen: dict[bytes, Graph] = {}
     new = 1 << (n - 1)
-    for parent in _canonical_level(n - 1).values():
+    for i, parent in enumerate(parents):
         base = parent.adj
         for mask in _extension_masks(parent):
             rows = tuple(row | new if mask >> u & 1 else row for u, row in enumerate(base))
-            g = _trusted(n, rows + (mask,))
+            rows += (mask,)
+            if _produced_earlier(rows, i, last):
+                continue
+            g = _trusted(n, rows)
             key = canonical_form(g)
             if key not in seen:
                 seen[key] = g
@@ -436,8 +481,16 @@ def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
 
 
 def _worker_count(jobs: int, items: int) -> int:
-    """Worker processes for ``items`` work items: at most jobs, cpus, or items."""
-    return min(jobs, os.cpu_count() or 1, items)
+    """Worker processes for ``items`` work items: at most jobs, cpus, or items.
+
+    The cpus are those this process may run on where the platform says
+    (``os.sched_getaffinity``), and otherwise every cpu of the machine.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, items)
 
 
 def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[str, str]]]:

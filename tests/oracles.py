@@ -152,14 +152,37 @@ def ref_decode_graph6(line: str) -> tuple[int, set[tuple[int, int]]]:
     return n, edges
 
 
-def labeled_graphs(n: int):
-    """Every labelled graph on vertices 0..n-1, by ascending edge code.
+def labeled_graph(n: int, code: int) -> Graph:
+    """The labelled graph on vertices 0..n-1 with edge code ``code``.
 
     Bit i of the code is the i-th pair of ``combinations(range(n), 2)``.
     """
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        yield from_edge_list(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+    pairs = combinations(range(n), 2)
+    return from_edge_list(n, [pair for i, pair in enumerate(pairs) if code >> i & 1])
+
+
+def labeled_graphs(n: int):
+    """Every labelled graph on vertices 0..n-1, by ascending edge code."""
+    for code in range(1 << n * (n - 1) // 2):
+        yield labeled_graph(n, code)
+
+
+def random_labeled_graphs(st, low: int, high: int):
+    """A Hypothesis strategy: labelled graphs on low..high vertices.
+
+    Each pair is drawn as its own boolean, which gives mid-density graphs
+    more often than one drawn edge code would.  ``st`` is
+    ``hypothesis.strategies``, passed in so that this module imports
+    without Hypothesis.
+    """
+
+    def on(n: int):
+        pairs = n * (n - 1) // 2
+        return st.lists(st.booleans(), min_size=pairs, max_size=pairs).map(
+            lambda edges: labeled_graph(n, sum(edge << i for i, edge in enumerate(edges)))
+        )
+
+    return st.integers(low, high).flatmap(on)
 
 
 def brute_min_code(g: Graph) -> tuple[int, ...]:

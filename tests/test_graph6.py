@@ -14,7 +14,12 @@ from abperfect import (
     parse_graph6_lines,
     to_graph6,
 )
-from oracles import isomorphism_class_count, labeled_graphs, ref_decode_graph6
+from oracles import (
+    isomorphism_class_count,
+    labeled_graphs,
+    random_labeled_graphs,
+    ref_decode_graph6,
+)
 
 
 def test_known_line_decodes_to_star():
@@ -74,6 +79,20 @@ def test_roundtrip_all_labeled_to_4():
     for n in range(1, 5):
         for g in labeled_graphs(n):
             assert parse_graph6(to_graph6(g)) == g
+
+
+def test_roundtrip_random_labeled_graphs_to_32():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @hypothesis.given(random_labeled_graphs(st, 1, 32))
+    def check(g):
+        line = to_graph6(g)
+        assert parse_graph6(line) == g
+        assert ref_decode_graph6(line) == (g.n, set(g.edges()))
+
+    check()
 
 
 def test_corpus_against_reference_decoder():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from itertools import combinations
 from multiprocessing import get_context
 from pathlib import Path
@@ -17,6 +18,7 @@ import abperfect
 from abperfect import (
     INVARIANT_CHAIN,
     CapacityError,
+    Graph,
     canonical_form,
     chromatic_number,
     complete_graph,
@@ -87,6 +89,45 @@ def test_orbit_pruned_levels_equal_unpruned_reference():
         assert list(enumerate_graphs(n)) == level, n
 
 
+def test_earlier_parent_pruning_skips_only_children_an_earlier_parent_produced():
+    # Each skipped child is checked against the definition: some deletion,
+    # labelled by canonical_form and looked up one level down, is the class
+    # of a representative before the child's parent.  The orbit-pruned
+    # children of levels 2..7 number 2, 6, 20, 90, 544 and 5,096.
+    skipped = 0
+    for n in range(2, 8):
+        below = harness._canonical_level(n - 1)
+        index = {key: j for j, key in enumerate(below)}
+        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below.values())}
+        for i, parent in enumerate(below.values()):
+            for mask in harness._extension_masks(parent):
+                rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+                g = Graph(n, rows + [mask])
+                if not harness._produced_earlier(g.adj, i, last):
+                    continue
+                skipped += 1
+                deletions = (induced_subgraph(g, set(range(n)) - {v}) for v in range(n - 1))
+                assert min(index[canonical_form(h)] for h in deletions) < i, to_graph6(g)
+    assert skipped == 3_910
+
+
+def test_cold_enumeration_labels_pinned_children(monkeypatch):
+    # A fresh cache over the same function enumerates cold; the shared
+    # cache is back in place, still warm, after the test.
+    cold = lru_cache(maxsize=None)(harness._canonical_level.__wrapped__)
+    monkeypatch.setattr(harness, "_canonical_level", cold)
+    labelled = []
+    real = harness.canonical_form
+
+    def counted(g):
+        labelled.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(harness, "canonical_form", counted)
+    cold(7)
+    assert [labelled.count(n) for n in range(1, 8)] == [1, 2, 4, 11, 34, 174, 1_623]
+
+
 def test_enumeration_matches_networkx_atlas():
     nx = pytest.importorskip("networkx")
 
@@ -149,7 +190,7 @@ PAIR_SWEEPS = ("theorem4", "theorem1_cs", "theorem2_cs", "figure3_inclusions")
 
 def test_sweep_with_worker_pool_matches_serial(monkeypatch):
     # Two cpus are reported so the pool runs even on a one-cpu machine.
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # At n = 5 the pair sweeps leave most classes unsolved, so the split
     # between this process (deletions) and the workers (solves) is used.
     cases = [(theorem, 4) for theorem in sorted(harness._TARGETS)]
@@ -181,7 +222,7 @@ def test_sweep_argument_validation():
             sweep("lemma2", 3, jobs=jobs)
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool needs two cpus")
+@pytest.mark.skipif(harness._worker_count(2, 2) < 2, reason="a worker pool needs two cpus")
 def test_pool_in_script_without_main_guard_raises_runtime_error(tmp_path):
     script = tmp_path / "no_guard.py"
     script.write_text("from abperfect import sweep\nsweep('theorem4', 3, jobs=2)\n")
@@ -197,12 +238,22 @@ def test_pool_in_script_without_main_guard_raises_runtime_error(tmp_path):
 
 
 def test_worker_count_is_clamped(monkeypatch):
+    # Without an affinity call, every cpu of the machine counts.
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     assert harness._worker_count(10_000, 5_000) == 4
     assert harness._worker_count(3, 5_000) == 3
     assert harness._worker_count(8, 2) == 2
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert harness._worker_count(8, 100) == 1
+
+
+def test_worker_count_reads_the_affinity_set(monkeypatch):
+    # Two of the machine's eight cpus are open to this process.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert harness._worker_count(8, 100) == 2
+    assert harness._worker_count(1, 100) == 1
 
 
 def test_violations_capped_at_100(monkeypatch):

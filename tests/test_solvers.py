@@ -49,6 +49,7 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_pseudoachromatic,
     labeled_graphs,
+    random_labeled_graphs,
     seeded_gnp,
     small_classes,
 )
@@ -256,14 +257,8 @@ def test_grundy_witness_and_chain_on_random_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    def graph_on(n):
-        pairs = list(combinations(range(n), 2))
-        return st.integers(0, (1 << len(pairs)) - 1).map(
-            lambda code: from_edge_list(n, [e for i, e in enumerate(pairs) if code >> i & 1])
-        )
-
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=60, database=None)
-    @hypothesis.given(st.integers(9, 10).flatmap(graph_on))
+    @hypothesis.given(random_labeled_graphs(st, 9, 10))
     def check(g):
         gamma, w = grundy_number(g, witness=True)
         assert w.k == gamma and is_grundy(g, w)
@@ -271,6 +266,28 @@ def test_grundy_witness_and_chain_on_random_graphs():
         if gamma < g.n:
             assert not has_coloring(g, gamma + 1, "grundy")
         assert profile(g).gamma == gamma  # construction checks the chain
+
+    check()
+
+
+def test_proper_and_complete_witnesses_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @hypothesis.given(random_labeled_graphs(st, 9, 10))
+    def check(g):
+        chi, proper_w = chromatic_number(g, witness=True)
+        assert proper_w.k == chi and is_proper(g, proper_w)
+        alpha, achro_w = achromatic_number(g, witness=True)
+        assert achro_w.k == alpha
+        assert is_proper(g, achro_w) and is_complete_coloring(g, achro_w)
+        psi, complete_w = pseudoachromatic_number(g, witness=True)
+        assert complete_w.k == psi and is_complete_coloring(g, complete_w)
+        # Merging two classes of a complete coloring leaves it complete, so
+        # no complete coloring above psi rules out every count above it.
+        if psi < g.n:
+            assert not has_coloring(g, psi + 1, "complete")
 
     check()
 
