@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import re
 import sys
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .forbidden import FAMILIES, PATTERNS, FreeReport, family_check
@@ -72,10 +74,11 @@ def _load_graphs(args) -> tuple[list[Graph], bool]:
         return [parse_graph6(args.g6)], True
     if args.named is not None:
         return [_named_graph(args.named)], True
-    if args.file == "-":
-        return list(parse_graph6_lines(sys.stdin)), False
-    with open(args.file, encoding="ascii", errors="surrogateescape") as handle:
-        return list(parse_graph6_lines(handle)), False
+    # Bytes, not sys.stdin's text, which is decoded per the locale: a non-ASCII
+    # byte reaches the parser as a lone surrogate, which names its line.
+    data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()
+    text = io.StringIO(data.decode("ascii", "surrogateescape"), newline=None)
+    return list(parse_graph6_lines(text)), False
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:

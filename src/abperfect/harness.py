@@ -53,9 +53,7 @@ from .perfectness import is_ab_perfect, recognize_structure
 from .solvers import (
     INVARIANT_CHAIN,
     INVARIANT_SOLVERS,
-    _complete_partition,
-    _grundy_reachable,
-    _plan,
+    _colorable,
     achromatic_number,
     clique_number,
     pseudoachromatic_number,
@@ -340,37 +338,23 @@ def _check_lemma1(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
     return None
 
 
-def _gap_detail(
-    label: str, chi: int, high: str, top: int, has_k: Callable[[int], bool]
-) -> str | None:
-    """The least count from chi to top with no ``label`` coloring, as a detail."""
-    gap = next((k for k in range(chi, top + 1) if not has_k(k)), None)
-    if gap is None:
-        return None
-    return f"no {label} coloring with {gap} colors (chi={chi}, {high}={top})"
+def _interpolation_target(mode: str, label: str, high: str) -> _Target:
+    """A ``mode`` coloring exists with every count from chi(G) to high(G).
 
-
-def _check_hhp(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
-    """A proper complete coloring exists with every count from chi(G) to alpha(G)."""
-    plan = _plan(g)
-
-    def fits(k: int) -> bool:
-        return _complete_partition(plan, k, True) is not None
-
-    return _gap_detail("proper complete", values["chi"], "alpha", values["alpha"], fits)
-
-
-def _check_grundy(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
-    """A Grundy coloring exists with every count from chi(G) to gamma(G).
-
-    gamma is by definition the highest bit of the count bitmask that
-    answers each count of the gap, so it is read there, not solved by a
-    second search.
+    high(G), alpha or gamma, is by definition the largest count the test
+    ``_colorable`` accepts, so the test answers it and each count of the
+    gap, each searched at most once.  chi comes from the invariant table.
     """
-    counts = _grundy_reachable(g)[(1 << g.n) - 1]
-    return _gap_detail(
-        "Grundy", values["chi"], "gamma", counts.bit_length() - 1, lambda k: counts >> k & 1
-    )
+
+    def check(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
+        fits, chi = _colorable(g, mode), values["chi"]
+        top = next(k for k in range(g.n, 0, -1) if fits(k))
+        gap = next((k for k in range(chi, top) if not fits(k)), None)
+        if gap is not None:
+            return f"no {label} coloring with {gap} colors (chi={chi}, {high}={top})"
+        return None
+
+    return _Target(check, invariants=("chi",))
 
 
 # omega_psi implies omega_alpha implies omega_gamma implies omega_chi
@@ -411,8 +395,8 @@ _TARGETS: dict[str, _Target] = {
     "theorem1_cs": _equivalence_target("gamma", "p4_only", "p4"),
     "theorem2_cs": _equivalence_target("alpha", "achro_triple", "triple"),
     "lemma1": _Target(_check_lemma1, hypothesis=_lemma1_filter),
-    "interpolation_hhp": _Target(_check_hhp, invariants=("chi", "alpha")),
-    "interpolation_grundy": _Target(_check_grundy, invariants=("chi",)),
+    "interpolation_hhp": _interpolation_target("proper_complete", "proper complete", "alpha"),
+    "interpolation_grundy": _interpolation_target("grundy", "Grundy", "gamma"),
     "figure3_inclusions": _Target(
         _check_figure3_inclusions,
         pairs=tuple(("omega", b) for b in _FIGURE3_ORDER),

@@ -10,7 +10,9 @@ achromatic and pseudoachromatic numbers
 
 ``INVARIANT_SOLVERS`` is the invariant table: it maps each invariant's name
 to its solver in chain order, and ``INVARIANT_CHAIN`` is its keys.  The
-ab-perfectness scan, the sweeps and ``profile`` all read it.
+ab-perfectness scan, the sweeps and ``profile`` all read it.  Whether a
+coloring of one mode with exactly k colors exists is one per-graph test,
+``_colorable``, asked by ``has_coloring`` and the interpolation sweeps.
 
 Every cap in ``graphs.CAPS`` is a hard error, never a silent fallback: an
 approximate answer would poison the theorem sweeps built on these solvers.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .colorings import Coloring
 from .graphs import Graph, bits, check_cap, complement
@@ -376,16 +378,25 @@ def achromatic_number(g: Graph, witness: bool = False) -> int | tuple[int, Color
 # ---------------------------------------------------------------------------
 
 
+def _colorable(g: Graph, mode: str) -> Callable[[int], bool]:
+    """Whether g has a ``mode`` coloring with exactly k colors, as a test of k that
+    sets up its search once; modes and caps are the caller's to check."""
+    if mode == "grundy":
+        counts = _grundy_reachable(g)[(1 << g.n) - 1]
+        return lambda k: bool(counts >> k & 1)
+    plan, proper = _plan(g), mode == "proper_complete"
+    return lambda k: _complete_partition(plan, k, proper) is not None
+
+
 def has_coloring(g: Graph, k: int, mode: str) -> bool:
-    """Does a coloring with exactly k colors of the given mode exist?"""
+    """Does a coloring with exactly k colors of the given mode exist?  Asks
+    ``_colorable``, the per-graph test the interpolation sweeps share."""
     if mode not in COLORING_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {COLORING_MODES}")
     if not 1 <= k <= g.n:
         raise ValueError(f"color count must be in 1..{g.n}, got {k}")
     check_cap(_MODE_SOLVERS[mode], g.n)
-    if mode == "grundy":
-        return bool(_grundy_reachable(g)[(1 << g.n) - 1] >> k & 1)
-    return _complete_partition(_plan(g), k, proper=mode == "proper_complete") is not None
+    return _colorable(g, mode)(k)
 
 
 # One dict object for every reader: a value replaced in place (a test's

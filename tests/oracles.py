@@ -66,22 +66,22 @@ def partition_coloring(n: int, partition: list[list[int]]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def brute_pseudoachromatic(g: Graph) -> int:
-    best = 0
+def brute_complete_counts(g: Graph, proper: bool) -> set[int]:
+    """Class counts of g's complete colorings, only the proper ones if ``proper``."""
+    counts = set()
     for partition in set_partitions(list(range(g.n))):
         c = partition_coloring(g.n, partition)
-        if is_complete_coloring(g, c):
-            best = max(best, len(partition))
-    return best
+        if is_complete_coloring(g, c) and (not proper or is_proper(g, c)):
+            counts.add(len(partition))
+    return counts
+
+
+def brute_pseudoachromatic(g: Graph) -> int:
+    return max(brute_complete_counts(g, False))
 
 
 def brute_achromatic(g: Graph) -> int:
-    best = 0
-    for partition in set_partitions(list(range(g.n))):
-        c = partition_coloring(g.n, partition)
-        if is_proper(g, c) and is_complete_coloring(g, c):
-            best = max(best, len(partition))
-    return best
+    return max(brute_complete_counts(g, True))
 
 
 def first_fit_along(g: Graph, order) -> int:

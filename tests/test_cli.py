@@ -46,8 +46,13 @@ def test_params_file_csv(capsys, tmp_path):
     assert lines[2] == "3,3,3,3,3"
 
 
+def stdin_bytes(monkeypatch, data: bytes) -> None:
+    """Back ``sys.stdin`` by ``data``, decoded strictly as UTF-8 if read as text."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
 def test_params_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("Ch\n"))
+    stdin_bytes(monkeypatch, b"Ch\n")
     code, out, _ = run(capsys, "params", "--file", "-", "--format", "json")
     assert code == 0
     assert json.loads(out) == [{"omega": 2, "chi": 2, "gamma": 3, "alpha": 3, "psi": 3}]
@@ -279,7 +284,10 @@ def test_file_with_bad_line_exits_two_naming_it(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, "params", "--file", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {line}: ")
-    monkeypatch.setattr("sys.stdin", io.StringIO("Ch\n*nope\n"))
+        # stdin's bytes are decoded as the file's are, whatever the locale.
+        stdin_bytes(monkeypatch, content)
+        assert run(capsys, "params", "--file", "-") == (code, out, err)
+    stdin_bytes(monkeypatch, b"Ch\n*nope\n")
     code, out, err = run(capsys, "recognize", "--file", "-")
     assert (code, out) == (2, "")
     assert err.startswith("error: line 2: ")

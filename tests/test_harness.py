@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from multiprocessing import get_context
 from pathlib import Path
@@ -26,8 +26,6 @@ from abperfect import (
     cycle_graph,
     empty_graph,
     enumerate_graphs,
-    grundy_number,
-    has_coloring,
     induced_subgraph,
     is_ab_perfect,
     path_graph,
@@ -35,7 +33,13 @@ from abperfect import (
     to_graph6,
 )
 from abperfect import harness, solvers
-from oracles import isomorphism_class_count, labeled_graphs, unpruned_levels
+from oracles import (
+    brute_complete_counts,
+    brute_grundy_counts,
+    isomorphism_class_count,
+    labeled_graphs,
+    unpruned_levels,
+)
 
 
 def test_labeled_enumeration_counts():
@@ -373,42 +377,48 @@ def test_pair_sweep_labels_each_deletion_at_most_once(monkeypatch):
     assert len(set(labelled)) == len(labelled) == 182
 
 
-def test_interpolation_gap_matches_has_coloring_per_count(monkeypatch):
-    # The detail over the true range chi..high, and over a forced range
-    # from 1, where counts without a coloring of the mode exist, so a gap
-    # is really reported.  The Grundy check reads gamma from its own
-    # search, so only chi is forced there.
-    solve = solvers.INVARIANT_SOLVERS
-    for theorem, high, mode, label in (
-        ("interpolation_grundy", "gamma", "grundy", "Grundy"),
-        ("interpolation_hhp", "alpha", "proper_complete", "proper complete"),
+def test_interpolation_gap_matches_brute_force_counts(monkeypatch):
+    # The detail from chi to the largest count, high, against brute force:
+    # set partitions filtered by the coloring validators, and first-fit
+    # along every ordering.  Besides the true chi, chi is forced to 1,
+    # below which counts without a coloring of the mode exist, so a gap
+    # is really reported.
+    proper_complete_counts = partial(brute_complete_counts, proper=True)
+    for theorem, high, label, counts in (
+        ("interpolation_grundy", "gamma", "Grundy", brute_grundy_counts),
+        ("interpolation_hhp", "alpha", "proper complete", proper_complete_counts),
     ):
         check = harness._TARGETS[theorem].check
         for n in range(1, 7):
             for g in enumerate_graphs(n):
-                top = solve[high](g)
-                forced = {"chi": 1} if high == "gamma" else {"chi": 1, "alpha": n}
-                for values in ({"chi": solve["chi"](g), high: top}, forced):
-                    chi, end = values["chi"], values.get(high, top)
-                    gap = next(
-                        (k for k in range(chi, end + 1) if not has_coloring(g, k, mode)), None
-                    )
+                have = counts(g)
+                top = max(have)
+                for chi in (chromatic_number(g), 1):
+                    gap = next((k for k in range(chi, top + 1) if k not in have), None)
                     want = None
                     if gap is not None:
-                        want = f"no {label} coloring with {gap} colors (chi={chi}, {high}={end})"
-                    assert check(g, values, {}) == want, (theorem, to_graph6(g))
-    # The HHP check builds one search plan per class for all its counts.
-    plans = []
+                        want = f"no {label} coloring with {gap} colors (chi={chi}, {high}={top})"
+                    assert check(g, {"chi": chi}, {}) == want, (theorem, to_graph6(g))
+    # The HHP check builds one search plan per class for all its counts,
+    # and reads alpha from it rather than solving it.
+    plans, alphas = [], []
     real = solvers._plan
 
     def counted(g):
         plans.append(canonical_form(g))
         return real(g)
 
-    monkeypatch.setattr(harness, "_plan", counted)
+    def achromatic(g, *args, **kwargs):
+        alphas.append(g)
+        return solvers.achromatic_number(g, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_plan", counted)
+    monkeypatch.setitem(solvers.INVARIANT_SOLVERS, "alpha", achromatic)
+    monkeypatch.setattr(harness, "achromatic_number", achromatic)
     report = sweep("interpolation_hhp", 6)
     assert report.checked == 208 and report.passed
     assert len(plans) == len(set(plans)) == 208
+    assert alphas == []
 
 
 def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
@@ -422,18 +432,9 @@ def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(solvers, "_grundy_reachable", counted)
-    monkeypatch.setattr(harness, "_grundy_reachable", counted)
     report = sweep("interpolation_grundy", 6)
     assert report.checked == 208 and report.passed
     assert len(built) == len(set(built)) == 208
-    # With chi forced to 1, count 1 is a gap on every class with an edge,
-    # and the detail names the gamma the check read from its set.
-    check = harness._TARGETS["interpolation_grundy"].check
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            if chromatic_number(g) > 1:
-                detail = f"no Grundy coloring with 1 colors (chi=1, gamma={grundy_number(g)})"
-                assert check(g, {"chi": 1}, {}) == detail, to_graph6(g)
 
 
 def _off_by_one(monkeypatch, invariant, victim, delta):

@@ -31,6 +31,7 @@ from abperfect import (
     is_grundy,
     is_isomorphic,
     is_proper,
+    join,
     k44_c7_graph,
     path_graph,
     profile,
@@ -288,6 +289,27 @@ def test_proper_and_complete_witnesses_on_random_graphs():
         # no complete coloring above psi rules out every count above it.
         if psi < g.n:
             assert not has_coloring(g, psi + 1, "complete")
+
+    check()
+
+
+def test_clique_and_chromatic_numbers_add_over_joins():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # Every vertex of G is joined to every vertex of H, so a clique of the
+    # join is one of G's beside one of H's, and a proper coloring gives
+    # the two sides disjoint colors.
+    pairs = random_labeled_graphs(st, 1, 9).flatmap(
+        lambda g: st.tuples(st.just(g), random_labeled_graphs(st, 1, 10 - g.n))
+    )
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @hypothesis.given(pairs)
+    def check(pair):
+        g, h = pair
+        both = join(g, h)
+        for solve in (clique_number, chromatic_number):
+            assert solve(both) == solve(g) + solve(h), (solve.__name__, to_graph6(g), to_graph6(h))
 
     check()
 
