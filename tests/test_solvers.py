@@ -164,6 +164,18 @@ def test_alpha_psi_values_are_frozen():
     assert digest.hexdigest() == "64268daa055436f73a3295acbcefeb859144a0f4e3645578ce66dae2d9b10124"
 
 
+def test_alpha_psi_witnesses_are_frozen():
+    # SHA-256 of "alpha witness psi witness" per class over
+    # enumerate_graphs(1..7), in enumeration order; the value was recorded
+    # before the complete-coloring search moved to one color per vertex.
+    digest = hashlib.sha256()
+    for g in small_classes(7):
+        a, aw = achromatic_number(g, witness=True)
+        p, pw = pseudoachromatic_number(g, witness=True)
+        digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
+    assert digest.hexdigest() == "ed36468af3aa6334aa4185338020b4a2c6ef663ac75ec91e1844a766bbd6d4f3"
+
+
 def test_grundy_values_witnesses_and_counts_are_frozen():
     # SHA-256 of "gamma witness feasible-counts" per class over
     # enumerate_graphs(1..7), in enumeration order; the value was recorded
