@@ -74,6 +74,8 @@ def _load_graphs(args) -> tuple[list[Graph], bool]:
         return [parse_graph6(args.g6)], True
     if args.named is not None:
         return [_named_graph(args.named)], True
+    if args.file == "-" and sys.stdin is None:  # started with fd 0 closed
+        raise OSError("stdin is closed")
     # Bytes, not sys.stdin's text, which is decoded per the locale: a non-ASCII
     # byte reaches the parser as a lone surrogate, which names its line.
     data = sys.stdin.buffer.read() if args.file == "-" else Path(args.file).read_bytes()

@@ -293,6 +293,12 @@ def test_file_with_bad_line_exits_two_naming_it(capsys, monkeypatch, tmp_path):
     assert err.startswith("error: line 2: ")
 
 
+def test_closed_stdin_exits_two_with_one_error_line(capsys, monkeypatch):
+    # Python sets sys.stdin to None when the process starts with fd 0 closed.
+    monkeypatch.setattr("sys.stdin", None)
+    assert run(capsys, "params", "--file", "-") == (2, "", "error: stdin is closed\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, "params", "--file", "/no/such/file.g6")
     assert code == 2
