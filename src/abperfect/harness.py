@@ -50,14 +50,7 @@ from .graphs import (
     universal_vertices,
 )
 from .perfectness import is_ab_perfect, recognize_structure
-from .solvers import (
-    INVARIANT_CHAIN,
-    INVARIANT_SOLVERS,
-    _colorable,
-    achromatic_number,
-    clique_number,
-    pseudoachromatic_number,
-)
+from .solvers import INVARIANT_CHAIN, INVARIANT_SOLVERS, _colorable
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -451,8 +444,7 @@ def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
                     g = disjoint_union(g, empty_graph(t))
                 checked += 1
                 expected = max(m1, m2)
-                omega = clique_number(g)
-                psi = pseudoachromatic_number(g)
+                omega, psi = (INVARIANT_SOLVERS[name](g) for name in ("omega", "psi"))
                 if not omega == psi == expected:
                     violations.append(
                         (
@@ -563,8 +555,7 @@ def cycle_alpha_psi(n_max: int) -> list[dict]:
     rows = []
     for n in range(3, n_max + 1):
         g = cycle_graph(n)
-        alpha = achromatic_number(g)
-        psi = pseudoachromatic_number(g)
+        alpha, psi = (INVARIANT_SOLVERS[name](g) for name in ("alpha", "psi"))
         predicted_equal = not _alpha_psi_split_predicted(n)
         rows.append(
             {

@@ -414,7 +414,6 @@ def test_interpolation_gap_matches_brute_force_counts(monkeypatch):
 
     monkeypatch.setattr(solvers, "_plan", counted)
     monkeypatch.setitem(solvers.INVARIANT_SOLVERS, "alpha", achromatic)
-    monkeypatch.setattr(harness, "achromatic_number", achromatic)
     report = sweep("interpolation_hhp", 6)
     assert report.checked == 208 and report.passed
     assert len(plans) == len(set(plans)) == 208
@@ -498,16 +497,16 @@ def test_eq1_chain_reports_a_broken_chain(monkeypatch):
 
 
 def test_lemma_sweeps_report_a_broken_helper(monkeypatch):
-    # lemma1 reads universal vertices and lemma2 psi from the names that
-    # harness imported; breaking each must surface as its detail.
+    # lemma1 reads universal vertices from the name harness imported, and
+    # lemma2 psi from the invariant table; breaking each must surface as its detail.
     monkeypatch.setattr(harness, "universal_vertices", lambda g: [])
     lemma1 = sweep("lemma1", 3)
     assert lemma1.checked == 4
     assert [detail for _, detail in lemma1.violations] == [
         "connected (C4,P4)-free graph without a universal vertex"
     ] * 4
-    psi = harness.pseudoachromatic_number
-    monkeypatch.setattr(harness, "pseudoachromatic_number", lambda g: psi(g) + 1)
+    psi = solvers.INVARIANT_SOLVERS["psi"]
+    monkeypatch.setitem(solvers.INVARIANT_SOLVERS, "psi", lambda g: psi(g) + 1)
     lemma2 = sweep("lemma2", 2)
     assert lemma2.checked == 1
     assert lemma2.violations == [
