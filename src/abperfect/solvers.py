@@ -245,9 +245,9 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
 class _Plan(NamedTuple):
     """One graph prepared for the complete-coloring search.
 
-    Search position i holds vertex ``order[i]``; ``back[i]`` is the mask
-    of earlier positions adjacent to it, and ``rest[i]`` counts the edges
-    with an endpoint at position i or later (``rest[n]`` is 0).
+    Step i places vertex ``order[i]``; ``back[i]`` is the vertex mask of its
+    neighbors placed at earlier steps, and ``rest[i]`` counts the edges with
+    an endpoint placed at step i or later (``rest[n]`` is 0, ``rest[0]`` is |E|).
     """
 
     order: tuple[int, ...]
@@ -257,16 +257,13 @@ class _Plan(NamedTuple):
 
 def _plan(g: Graph) -> _Plan:
     """Branch in degree-descending order, ties broken by label."""
-    n, adj = g.n, g.adj
+    adj = g.adj
     degree = [row.bit_count() for row in adj]
-    order = sorted(range(n), key=degree.__getitem__, reverse=True)  # stable
-    back = []
-    for i, v in enumerate(order):
-        row, mask = adj[v], 0
-        for j in range(i):
-            if row >> order[j] & 1:
-                mask |= 1 << j
-        back.append(mask)
+    order = sorted(range(g.n), key=degree.__getitem__, reverse=True)  # stable
+    back, placed = [], 0
+    for v in order:
+        back.append(adj[v] & placed)
+        placed |= 1 << v
     rest = list(accumulate([mask.bit_count() for mask in reversed(back)], initial=0))
     rest.reverse()
     return _Plan(tuple(order), tuple(back), tuple(rest))
@@ -278,16 +275,18 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     Vertices are placed in plan order (degree descending, ties by label)
     and colors tried ascending; a new color may open only after all
     smaller ones, which breaks the k! color symmetry.  Returns 0-based
-    colors by search position.  Prunes on: properness, classes that can no
-    longer all open, and uncovered color pairs exceeding the edges that
-    still have an unassigned endpoint.
+    colors by vertex, the search's one per-vertex state: an entry is written
+    when its vertex is placed and read only by neighbors placed later, so
+    backtracking leaves it.  None at once when k > n or k(k-1)/2 > |E|.
+    Prunes on: properness, classes that can no longer all open, and
+    uncovered color pairs exceeding the edges that still have an unplaced
+    endpoint.
     """
-    back, rest = plan.back, plan.rest
-    n = len(back)
+    order, back, rest = plan
+    n = len(order)
     if k > n or k * (k - 1) // 2 > rest[0]:
         return None
     color = [0] * n
-    class_masks = [0] * k  # class_masks[c]: positions colored c
     seen = [0] * k  # seen[c]: colors already joined to c by an edge
 
     def place(i: int, used: int, uncovered: int) -> bool:
@@ -296,13 +295,12 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
         if i == n:
             return True  # every class open, and uncovered <= rest[n] = 0
         nbrs = back[i]
-        ncol = 0  # colors on the assigned neighbors of position i
-        if nbrs:
-            for d in range(used):
-                if class_masks[d] & nbrs:
-                    ncol |= 1 << d
-        future = rest[i + 1]
-        here = 1 << i
+        ncol = 0  # colors on the placed neighbors of order[i]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            ncol |= 1 << color[low.bit_length() - 1]
+        v, future = order[i], rest[i + 1]
         for c in range(used + 1 if used < k else k):
             cbit = 1 << c
             if proper and ncol & cbit:
@@ -311,14 +309,12 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
             left = uncovered - new.bit_count()
             if left > future:
                 continue
-            class_masks[c] |= here
+            color[v] = c
             seen[c] |= new
             for d in bits(new):
                 seen[d] |= cbit
             if place(i + 1, used + (c == used), left):
-                color[i] = c
                 return True
-            class_masks[c] ^= here
             seen[c] ^= new
             for d in bits(new):
                 seen[d] ^= cbit
@@ -327,37 +323,28 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     return color if place(0, 0, k * (k - 1) // 2) else None
 
 
-def _max_pair_bound(g: Graph) -> int:
-    """Largest k with k*(k-1)/2 <= |E|, capped by n (distinct pairs need edges)."""
-    m = g.edge_count()
-    k = 1
-    while (k + 1) * k // 2 <= m:
-        k += 1
-    return min(k, g.n)
-
-
 def _largest_complete(g: Graph, proper: bool, witness: bool) -> int | tuple[int, Coloring]:
-    """Most colors in a complete coloring, proper or not, by descending k."""
-    top = _max_pair_bound(g)
-    if top <= 2 and not witness:
-        # The bound is met by definition: given an edge, color one endpoint 2
-        # and every other vertex 1 for a complete 2-coloring; two edges form
-        # no cycle, so a proper 2-coloring exists too, complete via any edge.
-        return top
+    """Most colors in a complete coloring, proper or not, by descending k from
+    n; ``_complete_partition`` turns down each k with k(k-1)/2 > |E| on entry.
+    Witness colors are renumbered by first occurrence."""
+    m = g.edge_count()
+    if m < 3 and not witness:
+        # Distinct color pairs need distinct edges, so k(k-1)/2 <= |E| < 3
+        # caps k at 2, or 1 with no edge.  The cap is met: given an edge,
+        # color one endpoint 2 and every other vertex 1 for a complete
+        # 2-coloring; two edges form no cycle, so a proper 2-coloring
+        # exists too, complete via any edge.
+        return 1 + (m > 0)
     plan = _plan(g)
-    for k in range(top, 0, -1):
+    for k in range(g.n, 0, -1):
         found = _complete_partition(plan, k, proper)
         if found is not None:
             if not witness:
                 return k
-            # Back to vertex labels, colors renumbered by first occurrence.
-            by_vertex = [0] * g.n
-            for v, c in zip(plan.order, found):
-                by_vertex[v] = c
             first: dict[int, int] = {}
-            for c in by_vertex:
+            for c in found:
                 first.setdefault(c, len(first) + 1)
-            return k, Coloring(tuple(first[c] for c in by_vertex))
+            return k, Coloring(tuple(first[c] for c in found))
     raise AssertionError("unreachable: an optimal proper coloring is complete")
 
 
