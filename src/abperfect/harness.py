@@ -444,7 +444,7 @@ def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
                     g = disjoint_union(g, empty_graph(t))
                 checked += 1
                 expected = max(m1, m2)
-                omega, psi = (INVARIANT_SOLVERS[name](g) for name in ("omega", "psi"))
+                omega, psi = INVARIANT_SOLVERS["omega"](g), INVARIANT_SOLVERS["psi"](g)
                 if not omega == psi == expected:
                     violations.append(
                         (
@@ -555,7 +555,7 @@ def cycle_alpha_psi(n_max: int) -> list[dict]:
     rows = []
     for n in range(3, n_max + 1):
         g = cycle_graph(n)
-        alpha, psi = (INVARIANT_SOLVERS[name](g) for name in ("alpha", "psi"))
+        alpha, psi = INVARIANT_SOLVERS["alpha"](g), INVARIANT_SOLVERS["psi"](g)
         predicted_equal = not _alpha_psi_split_predicted(n)
         rows.append(
             {

@@ -14,8 +14,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("demos_golden.json")
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -26,8 +24,8 @@ def _demo_run(path: Path) -> dict:
     done = subprocess.run(
         [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True
     )
-    stdout = re.sub(r"\[\d+ ms\]", "[* ms]", done.stdout)
-    return {"code": done.returncode, "stdout": stdout.rstrip("\n"), "stderr": done.stderr.rstrip("\n")}
+    stdout = re.sub(r"\[\d+ ms\]", "[* ms]", done.stdout).rstrip("\n")
+    return {"code": done.returncode, "stdout": stdout, "stderr": done.stderr.rstrip("\n")}
 
 
 def record_golden() -> None:
@@ -35,10 +33,8 @@ def record_golden() -> None:
     GOLDEN.write_text(json.dumps(outputs, indent=1, ensure_ascii=False) + "\n")
 
 
-def test_every_demo_has_a_golden_output():
-    assert [path.name for path in DEMOS] == list(json.loads(GOLDEN.read_text()))
-
-
-@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
-def test_demo_output_matches_golden(path):
-    assert _demo_run(path) == json.loads(GOLDEN.read_text())[path.name]
+def test_demo_output_matches_golden():
+    expected = json.loads(GOLDEN.read_text())
+    assert [path.name for path in DEMOS] == list(expected)
+    for path in DEMOS:
+        assert _demo_run(path) == expected[path.name], path.name
