@@ -40,11 +40,12 @@ from abperfect import (
     to_graph6,
 )
 from abperfect.graphs import CAPS
-from abperfect.solvers import _MODE_SOLVERS, _maximal_independent_sets
+from abperfect.solvers import _MODE_SOLVERS, _colorable, _maximal_independent_sets
 from oracles import (
     brute_achromatic,
     brute_chromatic,
     brute_clique,
+    brute_complete_counts,
     brute_grundy,
     brute_grundy_counts,
     brute_maximal_independent_sets,
@@ -135,6 +136,18 @@ def test_complete_solvers_match_oracles_at_6():
     for g in enumerate_graphs(6):
         assert achromatic_number(g) == brute_achromatic(g), to_graph6(g)
         assert pseudoachromatic_number(g) == brute_pseudoachromatic(g), to_graph6(g)
+
+
+def test_complete_counts_match_oracle_at_8_and_9():
+    # Every feasible class count in both complete modes, against set
+    # partitions that no search prune touches, beyond the n <= 7 pins.
+    cases = [(8, p) for p in (0.3, 0.5, 0.7)] * 8 + [(9, p) for p in (0.3, 0.5, 0.5, 0.7)]
+    for seed, (n, p) in enumerate(cases):
+        g = seeded_gnp(seed, n, p)
+        for mode, proper in (("complete", False), ("proper_complete", True)):
+            test = _colorable(g, mode)
+            found = {k for k in range(1, n + 1) if test(k)}
+            assert found == brute_complete_counts(g, proper), (seed, to_graph6(g), mode)
 
 
 def test_grundy_counts_match_oracle_at_6():
