@@ -6,7 +6,9 @@ Grundy number      -- memoized peeling of maximal independent sets, each
                       vertex mask's feasible color counts kept as one bitmask
 achromatic and pseudoachromatic numbers
                    -- backtracking over canonically-ordered set partitions
-                      with an uncovered-pairs vs. remaining-edges prune
+                      with an edge bound: uncovered color pairs vs. the
+                      edges between unplaced vertices plus, per unplaced
+                      vertex, the colors on its placed neighbors
 
 ``INVARIANT_SOLVERS`` is the invariant table: it maps each invariant's name
 to its solver in chain order, and ``INVARIANT_CHAIN`` is its keys.  The
@@ -245,14 +247,16 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
 class _Plan(NamedTuple):
     """One graph prepared for the complete-coloring search.
 
-    Step i places vertex ``order[i]``; ``back[i]`` is the vertex mask of its
-    neighbors placed at earlier steps, and ``rest[i]`` counts the edges with
-    an endpoint placed at step i or later (``rest[n]`` is 0, ``rest[0]`` is |E|).
+    Step i places vertex ``order[i]``; ``back[i]`` and ``ahead[i]`` are the
+    vertex masks of its neighbors placed at earlier and at later steps, and
+    ``inner[i]`` counts the edges with both endpoints placed at step i or
+    later (``inner[n]`` is 0, ``inner[0]`` is |E|).
     """
 
     order: tuple[int, ...]
     back: tuple[int, ...]
-    rest: tuple[int, ...]
+    ahead: tuple[int, ...]
+    inner: tuple[int, ...]
 
 
 def _plan(g: Graph) -> _Plan:
@@ -264,9 +268,10 @@ def _plan(g: Graph) -> _Plan:
     for v in order:
         back.append(adj[v] & placed)
         placed |= 1 << v
-    rest = list(accumulate([mask.bit_count() for mask in reversed(back)], initial=0))
-    rest.reverse()
-    return _Plan(tuple(order), tuple(back), tuple(rest))
+    ahead = [adj[v] ^ mask for v, mask in zip(order, back)]
+    inner = list(accumulate([mask.bit_count() for mask in reversed(ahead)], initial=0))
+    inner.reverse()
+    return _Plan(tuple(order), tuple(back), tuple(ahead), tuple(inner))
 
 
 def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
@@ -278,49 +283,70 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     colors by vertex, the search's one per-vertex state: an entry is written
     when its vertex is placed and read only by neighbors placed later, so
     backtracking leaves it.  None at once when k > n or k(k-1)/2 > |E|.
-    Prunes on: properness, classes that can no longer all open, and
-    uncovered color pairs exceeding the edges that still have an unplaced
-    endpoint.
+    Prunes on: properness, classes that can no longer all open, and the
+    edge bound below.
+
+    Edge bound.  Once steps 0..i are placed, each uncovered color pair
+    needs an edge of its own with an unplaced endpoint.  An edge between
+    two unplaced vertices covers at most one pair, and there are
+    ``inner[i + 1]`` of them.  The edges from an unplaced vertex u to
+    placed ones cover at most |C(u)| pairs, C(u) being the colors on u's
+    placed neighbors, since u takes one color.  So a branch is cut when
+    the uncovered pairs exceed ``cross + inner[i + 1]``, ``cross`` being
+    the sum of |C(u)| over unplaced u.  ``reach[c]`` is the vertex mask
+    with a placed neighbor of color c, so placing a vertex at color c adds
+    its later neighbors outside ``reach[c]`` to ``cross``.  The bound cuts
+    only subtrees holding no complete k-coloring, so the first one found
+    does not depend on it.
     """
-    order, back, rest = plan
+    order, back, ahead, inner = plan
     n = len(order)
-    if k > n or k * (k - 1) // 2 > rest[0]:
+    if k > n or k * (k - 1) // 2 > inner[0]:
         return None
     color = [0] * n
     seen = [0] * k  # seen[c]: colors already joined to c by an edge
+    reach = [0] * k
 
-    def place(i: int, used: int, uncovered: int) -> bool:
+    def place(i: int, used: int, uncovered: int, cross: int) -> bool:
         if k - used > n - i:
             return False
         if i == n:
-            return True  # every class open, and uncovered <= rest[n] = 0
+            return True  # every class open, and uncovered <= cross + inner[n] = 0
         nbrs = back[i]
         ncol = 0  # colors on the placed neighbors of order[i]
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
             ncol |= 1 << color[low.bit_length() - 1]
-        v, future = order[i], rest[i + 1]
+        v, later = order[i], ahead[i]
+        cross -= ncol.bit_count()  # order[i] is no longer unplaced
+        slack = cross + inner[i + 1]
         for c in range(used + 1 if used < k else k):
             cbit = 1 << c
             if proper and ncol & cbit:
                 continue
             new = ncol & ~seen[c] & ~cbit
             left = uncovered - new.bit_count()
-            if left > future:
+            fresh = later & ~reach[c]
+            gain = fresh.bit_count()
+            if left > slack + gain:
                 continue
             color[v] = c
-            seen[c] |= new
-            for d in bits(new):
-                seen[d] |= cbit
-            if place(i + 1, used + (c == used), left):
+            reach[c] |= fresh
+            if new:
+                seen[c] |= new
+                for d in bits(new):
+                    seen[d] |= cbit
+            if place(i + 1, used + (c == used), left, cross + gain):
                 return True
-            seen[c] ^= new
-            for d in bits(new):
-                seen[d] ^= cbit
+            reach[c] ^= fresh
+            if new:
+                seen[c] ^= new
+                for d in bits(new):
+                    seen[d] ^= cbit
         return False
 
-    return color if place(0, 0, k * (k - 1) // 2) else None
+    return color if place(0, 0, k * (k - 1) // 2, 0) else None
 
 
 def _largest_complete(g: Graph, proper: bool, witness: bool) -> int | tuple[int, Coloring]:
