@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -313,6 +314,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does: stop quietly.  The
+        # interpreter flushes stdout once more on exit, into devnull now.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

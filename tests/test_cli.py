@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -297,6 +299,27 @@ def test_closed_stdin_exits_two_with_one_error_line(capsys, monkeypatch):
     # Python sets sys.stdin to None when the process starts with fd 0 closed.
     monkeypatch.setattr("sys.stdin", None)
     assert run(capsys, "params", "--file", "-") == (2, "", "error: stdin is closed\n")
+
+
+def test_closed_stdout_pipe_exits_one_quietly():
+    # A reader that stops after one line, as `| head -1` does.  The output,
+    # 200 kB, overflows the pipe buffer, so the process is still writing
+    # when the pipe closes.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "abperfect.cli", "params", "--file", "-"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdin.write(b"A_\n" * 5000)
+    proc.stdin.close()
+    assert proc.stdout.readline() == b"omega=2  chi=2  gamma=2  alpha=2  psi=2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_missing_file_exits_two(capsys):
