@@ -250,7 +250,8 @@ class _Plan(NamedTuple):
     Step i places vertex ``order[i]``; ``back[i]`` and ``ahead[i]`` are the
     vertex masks of its neighbors placed at earlier and at later steps, and
     ``inner[i]`` counts the edges with both endpoints placed at step i or
-    later (``inner[n]`` is 0, ``inner[0]`` is |E|).
+    later (``inner[n]`` is 0, ``inner[0]`` is |E|); the last two feed the
+    edge bound of ``_complete_partition``.
     """
 
     order: tuple[int, ...]

@@ -306,20 +306,21 @@ def test_closed_stdout_pipe_exits_one_quietly():
     # 200 kB, overflows the pipe buffer, so the process is still writing
     # when the pipe closes.
     root = Path(__file__).resolve().parent.parent
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "abperfect.cli", "params", "--file", "-"],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    proc.stdin.write(b"A_\n" * 5000)
-    proc.stdin.close()
-    assert proc.stdout.readline() == b"omega=2  chi=2  gamma=2  alpha=2  psi=2\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "abperfect.cli", "params", "--file", "-"],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        proc.stdin.write(b"A_\n" * 5000)
+        proc.stdin.close()
+        assert proc.stdout.readline() == b"omega=2  chi=2  gamma=2  alpha=2  psi=2\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err.seek(0)
+        assert err.read() == b""
 
 
 def test_missing_file_exits_two(capsys):
