@@ -1,6 +1,7 @@
 """Graph construction, combinators, and isomorphism machinery."""
 
 import math
+import pickle
 import random
 import tracemalloc
 from itertools import combinations
@@ -26,7 +27,7 @@ from abperfect import (
     path_graph,
     universal_vertices,
 )
-from abperfect.graphs import _automorphisms
+from abperfect.graphs import _automorphisms, _trusted
 from oracles import diameter
 from oracles import brute_automorphism_count, brute_min_code, labeled_graphs, small_classes
 
@@ -66,6 +67,17 @@ def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_graph_value_semantics():
+    g = Graph(2, [2, 1])
+    assert g.adj == (2, 1) and type(g.adj) is tuple
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert g != (g.n, g.adj)
+    assert hash(g) == hash((g.n, g.adj))
+    assert _trusted(g.n, g.adj) == g
+    with pytest.raises(AttributeError):
+        g.adj = (0, 0)
 
 
 def test_adjacency_invariants_enforced_by_constructor():
