@@ -162,18 +162,6 @@ def _verdict_rows(v: PerfectnessVerdict) -> list[dict]:
     ]
 
 
-def _tree_lines(tree: StructureTree, depth: int = 0) -> list[str]:
-    label = tree.kind
-    if tree.m is not None:
-        label += f" m={tree.m}"
-    if tree.reason:
-        label += f" ({tree.reason})"
-    lines = ["  " * depth + label]
-    for child in tree.children:
-        lines.extend(_tree_lines(child, depth + 1))
-    return lines
-
-
 def _tree_rows(tree: StructureTree, depth: int = 0) -> list[dict]:
     rows = [
         {
@@ -186,6 +174,15 @@ def _tree_rows(tree: StructureTree, depth: int = 0) -> list[dict]:
     for child in tree.children:
         rows.extend(_tree_rows(child, depth + 1))
     return rows
+
+
+def _tree_lines(tree: StructureTree) -> list[str]:
+    lines = []
+    for row in _tree_rows(tree):
+        m = f" m={row['m']}" if row["m"] != "" else ""
+        reason = f" ({row['reason']})" if row["reason"] else ""
+        lines.append("  " * row["depth"] + row["kind"] + m + reason)
+    return lines
 
 
 def _free_lines(r: FreeReport) -> list[str]:

@@ -5,12 +5,13 @@ as a bitset, so every graph fits in a handful of machine words.  The hard
 cap of 32 vertices is deliberate: all solvers built on top of this module
 are exponential, and 32 is already far beyond their feasible range.
 
-All values are immutable after construction and all operations are pure,
-so graphs can be shared freely between concurrent workers.
+``Graph`` is a frozen dataclass checked in ``__post_init__``; all operations
+are pure, so graphs can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 32
@@ -53,6 +54,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, adjacency as bitmasks.
 
@@ -61,12 +63,14 @@ class Graph:
     adjacency rows by hand.
     """
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj: Iterable[int]):
+    def __post_init__(self):
+        n = self.n
         if not 1 <= n <= MAX_VERTICES:
             raise CapacityError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
-        rows = tuple(adj)
+        rows = tuple(self.adj)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -79,20 +83,11 @@ class Graph:
             for u in bits(row):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
     def __reduce__(self):
+        # Unpickling calls Graph(n, adj), so it runs the checks too.
         return (Graph, (self.n, self.adj))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -113,7 +108,7 @@ class Graph:
 
 
 def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
-    """A graph the library built itself, skipping the checks of ``Graph.__init__``.
+    """A graph the library built itself, skipping the checks of ``Graph.__post_init__``.
 
     Only for rows that are symmetric, loop-free and within 0..n-1 by
     construction; outside input goes through ``Graph`` and its checks.
@@ -430,7 +425,6 @@ def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: list[int]) 
             if extend(v + 1):
                 return True
             used &= ~(1 << w)
-        image[v] = -1
         return False
 
     return extend(0)

@@ -126,7 +126,6 @@ def _proper_k_coloring(g: Graph, k: int) -> list[int] | None:
             if assign(v + 1, max(used, c)):
                 return True
             class_masks[c] &= ~(1 << v)
-        color[v] = 0
         return False
 
     return color if assign(0, 0) else None

@@ -66,22 +66,19 @@ def partition_coloring(n: int, partition: list[list[int]]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def brute_complete_counts(g: Graph, proper: bool) -> set[int]:
-    """Class counts of g's complete colorings, only the proper ones if ``proper``."""
-    counts = set()
+def brute_complete_counts(g: Graph) -> tuple[set[int], set[int]]:
+    """Class counts of g's complete colorings, and of its proper complete ones.
+
+    Their maxima are psi and alpha.
+    """
+    complete, proper = set(), set()
     for partition in set_partitions(list(range(g.n))):
         c = partition_coloring(g.n, partition)
-        if is_complete_coloring(g, c) and (not proper or is_proper(g, c)):
-            counts.add(len(partition))
-    return counts
-
-
-def brute_pseudoachromatic(g: Graph) -> int:
-    return max(brute_complete_counts(g, False))
-
-
-def brute_achromatic(g: Graph) -> int:
-    return max(brute_complete_counts(g, True))
+        if is_complete_coloring(g, c):
+            complete.add(len(partition))
+            if is_proper(g, c):
+                proper.add(len(partition))
+    return complete, proper
 
 
 def first_fit_along(g: Graph, order) -> int:

@@ -81,7 +81,7 @@ def test_graph_value_semantics():
 
 
 def test_adjacency_invariants_enforced_by_constructor():
-    # Symmetry / irreflexivity are enforced in Graph.__init__ itself.
+    # Symmetry / irreflexivity are enforced in Graph.__post_init__ itself.
     with pytest.raises(ValueError, match="asymmetric adjacency between 1 and 0"):
         Graph(2, (0b10, 0))
     with pytest.raises(ValueError, match="loop at vertex 0"):

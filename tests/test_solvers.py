@@ -42,14 +42,12 @@ from abperfect import (
 from abperfect.graphs import CAPS
 from abperfect.solvers import _MODE_SOLVERS, _colorable, _maximal_independent_sets
 from oracles import (
-    brute_achromatic,
     brute_chromatic,
     brute_clique,
     brute_complete_counts,
     brute_grundy,
     brute_grundy_counts,
     brute_maximal_independent_sets,
-    brute_pseudoachromatic,
     labeled_graphs,
     random_labeled_graphs,
     seeded_gnp,
@@ -85,7 +83,7 @@ def test_grundy_number_examples():
 def test_achromatic_number_examples():
     assert achromatic_number(k44_c7_graph()) == 5
     c4 = cycle_graph(4)
-    assert achromatic_number(c4) == brute_achromatic(c4) == 2
+    assert achromatic_number(c4) == max(brute_complete_counts(c4)[1]) == 2
     for n in range(1, 6):
         assert achromatic_number(complete_graph(n)) == n
 
@@ -128,14 +126,16 @@ def test_solvers_match_oracles_small():
         assert clique_number(g) == brute_clique(g)
         assert chromatic_number(g) == brute_chromatic(g)
         assert grundy_number(g) == brute_grundy(g)
-        assert achromatic_number(g) == brute_achromatic(g)
-        assert pseudoachromatic_number(g) == brute_pseudoachromatic(g)
+        complete, proper = brute_complete_counts(g)
+        assert achromatic_number(g) == max(proper)
+        assert pseudoachromatic_number(g) == max(complete)
 
 
 def test_complete_solvers_match_oracles_at_6():
     for g in enumerate_graphs(6):
-        assert achromatic_number(g) == brute_achromatic(g), to_graph6(g)
-        assert pseudoachromatic_number(g) == brute_pseudoachromatic(g), to_graph6(g)
+        complete, proper = brute_complete_counts(g)
+        assert achromatic_number(g) == max(proper), to_graph6(g)
+        assert pseudoachromatic_number(g) == max(complete), to_graph6(g)
 
 
 def test_complete_counts_match_oracle_at_8_and_9():
@@ -144,10 +144,10 @@ def test_complete_counts_match_oracle_at_8_and_9():
     cases = [(8, p) for p in (0.3, 0.5, 0.7)] * 8 + [(9, p) for p in (0.3, 0.5, 0.5, 0.7)]
     for seed, (n, p) in enumerate(cases):
         g = seeded_gnp(seed, n, p)
-        for mode, proper in (("complete", False), ("proper_complete", True)):
+        for mode, counts in zip(("complete", "proper_complete"), brute_complete_counts(g)):
             test = _colorable(g, mode)
             found = {k for k in range(1, n + 1) if test(k)}
-            assert found == brute_complete_counts(g, proper), (seed, to_graph6(g), mode)
+            assert found == counts, (seed, to_graph6(g), mode)
 
 
 def test_grundy_counts_match_oracle_at_6():
