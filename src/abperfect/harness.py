@@ -17,9 +17,9 @@ run where the class is solved.  The flags are hereditary first: a
 class's one-vertex deletions are read one level down, its enumeration
 parent first, and a pair is solved on the class only while every
 deletion read so far is perfect for it.  One dict per level maps a
-deletion's rows to its canonical form, starting with the representatives
-one level down, so a sweep labels each deletion at most once.  Sweeps
-stop collecting after 100 violations and are deterministic: identical
+deletion's rows to its flags, seeded with the empty graph's all-True
+flags, so a sweep labels each deletion at most once.  Sweeps stop
+collecting after 100 violations and are deterministic: identical
 reports (elapsed time aside) across runs and across worker counts.
 """
 
@@ -157,15 +157,16 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
 # Every proper induced subgraph of G lies inside some G - v, so by the
 # definition of ab-perfectness alone
 #     perfect_ab(G) = [a(G) = b(G)] and perfect_ab(G - v) for every v,
-# with each G - v read from the level below by its canonical form.  The
-# deletions are read first and a(G), b(G) solved only where they all
-# hold; the flag is the same either way.  No theorem a sweep verifies is
-# assumed.
+# with each G - v read from the level below by its rows, down to the
+# empty graph, which is perfect for every pair.  The deletions are read
+# first and a(G), b(G) solved only where they all hold; the flag is the
+# same either way.  No theorem a sweep verifies is assumed.
 # ---------------------------------------------------------------------------
 
 
 Pair = tuple[str, str]
 Flags = dict[Pair, bool]
+LevelFlags = dict[tuple[int, ...], Flags]
 
 
 @dataclass(frozen=True)
@@ -206,24 +207,18 @@ def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, s
     return flags, target.check(g, values, flags)
 
 
-def _live_pairs(
-    g: Graph,
-    pairs: tuple[Pair, ...],
-    below: dict[bytes, Flags],
-    labels: dict[tuple[int, ...], bytes],
-) -> tuple[Pair, ...]:
+def _live_pairs(g: Graph, pairs: tuple[Pair, ...], below: LevelFlags) -> tuple[Pair, ...]:
     """The pairs for which every one-vertex deletion of g is perfect.
 
     Each deletion g - v is built by shifting the higher bits of each row
-    down one place and found in ``below`` by its canonical form, which
-    ``labels`` maps from its rows, labelling it on a miss.  g - (n-1) is
-    g's enumeration parent, a representative one level down whose rows
-    ``labels`` starts with, so it is read first and never labelled.  The
-    other deletions are read only while some pair is still alive.
+    down one place and its flags are read from ``below`` by those rows.
+    On a miss the deletion is labelled once with its canonical form and
+    its class representative's flags are stored under its rows.  g - (n-1)
+    is g's enumeration parent, a representative one level down, so it is
+    read first and never labelled.  The other deletions are read only
+    while some pair is still alive.
     """
     n = g.n
-    if n == 1:
-        return pairs
     live = pairs
     for v in (n - 1, *range(n - 1)):
         if not live:
@@ -232,10 +227,10 @@ def _live_pairs(
         deleted = tuple(
             (row & low) | (row >> (v + 1) << v) for u, row in enumerate(g.adj) if u != v
         )
-        key = labels.get(deleted)
-        if key is None:
-            key = labels[deleted] = canonical_form(_trusted(n - 1, deleted))
-        flags = below[key]
+        flags = below.get(deleted)
+        if flags is None:
+            key = canonical_form(_trusted(n - 1, deleted))
+            flags = below[deleted] = below[_canonical_level(n - 1)[key].adj]
         live = tuple(pair for pair in live if flags[pair])
     return live
 
@@ -246,28 +241,28 @@ def _table_rows(
     """Each class up to n_max vertices with its ``_check_row`` result, in enumeration order.
 
     For each level, the calling process first reads the flags of every
-    class's deletions from the level below, the only flags the table
-    keeps, and finds the pairs still alive; a pair with an imperfect
-    deletion is False without a solve.  ``labels``, the canonical forms of
-    the level's deletions by their rows, starts with the representatives
-    one level down and is dropped with the level.  The classes are then
-    solved and checked independently, in ``pool`` when given.
+    class's deletions from the level below and finds the pairs still
+    alive; a pair with an imperfect deletion is False without a solve.
+    One dict per level maps a deletion's rows to its flags, seeded with
+    the empty graph's all-True flags, the base case of the definition;
+    it holds the representatives' flags and gains each labelled deletion,
+    and is dropped with the level.  The classes are then solved and
+    checked independently, in ``pool`` when given.
     """
     target = _TARGETS[theorem]
     check = partial(_check_row, theorem)
-    below: dict[bytes, Flags] = {}
+    below: LevelFlags = {(): dict.fromkeys(target.pairs, True)}
     for n in range(1, n_max + 1):
         graphs = list(enumerate_graphs(n))
-        labels = {h.adj: key for key, h in _canonical_level(n - 1).items()} if n > 1 else {}
-        lives = [_live_pairs(g, target.pairs, below, labels) for g in graphs]
+        lives = [_live_pairs(g, target.pairs, below) for g in graphs]
         if pool is None:
             results = map(check, graphs, lives)
         else:
             results = pool.map(check, graphs, lives, chunksize=16)
-        here: dict[bytes, Flags] = {}
-        for key, g, result in zip(_canonical_level(n), graphs, results):
+        here: LevelFlags = {}
+        for g, result in zip(graphs, results):
             if result is not None and result[0]:
-                here[key] = result[0]
+                here[g.adj] = result[0]
             yield g, result
         below = here
 

@@ -165,7 +165,7 @@ def _classify_disconnected(g: Graph, comps: list[frozenset[int]]) -> StructureTr
         return StructureTree("rejected", reason=reason)
     parts = [induced_subgraph(g, c) for c in nontrivial]
     if len(parts) == 1:
-        children = [_recognize_connected(parts[0])]
+        children = [_peel(parts[0], _classify_disconnected)]
     elif all(_is_complete(p) for p in parts):
         children = [StructureTree("complete", m=p.n) for p in parts]
     else:
@@ -198,10 +198,6 @@ def _peel(
     return StructureTree("join", m=len(apex), children=(remainder(rest, comps),))
 
 
-def _recognize_connected(g: Graph) -> StructureTree:
-    return _peel(g, _classify_disconnected)
-
-
 def recognize_structure(g: Graph) -> StructureTree:
     """Decide the recursive shape of the omega-psi-perfect characterization.
 
@@ -210,7 +206,7 @@ def recognize_structure(g: Graph) -> StructureTree:
     """
     comps = connected_components(g)
     if len(comps) == 1:
-        return _recognize_connected(g)
+        return _peel(g, _classify_disconnected)
     return _classify_disconnected(g, comps)
 
 

@@ -293,6 +293,24 @@ def test_recognizer_rebuild_soundness():
             assert is_isomorphic(rebuild(tree), g)
 
 
+def test_rebuild_refuses_trees_that_are_not_accepted():
+    three_k2 = disjoint_union(
+        complete_graph(2), disjoint_union(complete_graph(2), complete_graph(2))
+    )
+    trees = {
+        "rejected root": recognize_structure(path_graph(4)),
+        "rejected join child": recognize_structure(join(complete_graph(1), three_k2)),
+        "rejected union child": recognize_structure(
+            disjoint_union(path_graph(4), complete_graph(1))
+        ),
+        "empty union": StructureTree("union"),
+    }
+    assert [tree.kind for tree in trees.values()] == ["rejected", "join", "union", "union"]
+    for tree in trees.values():
+        with pytest.raises(ValueError):
+            rebuild(tree)
+
+
 def test_tree_serialization():
     tree = recognize_structure(complete_graph(2))
     assert tree.to_dict() == {
