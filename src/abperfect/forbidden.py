@@ -1,41 +1,70 @@
 """Fixed pattern library and induced-subgraph detection.
 
-Detection is plain subset enumeration plus an isomorphism check against
-the pattern: hosts here have at most 13 vertices and the fixed patterns at
-most 6, so C(13,6) ~ 1716 subsets is negligible and the approach is
-transparent.  Patterns are capped as the isomorphism test is.
-Witnesses are the lexicographically smallest hitting subset, which makes
-every report deterministic.  ``family_check`` scans every family in one
-loop over its patterns, the odd holes and antiholes by ascending length.
+``contains_induced`` is one depth-first walk over the host's vertices in
+ascending order, adding one vertex per level, so it meets the k-subsets
+of a k-vertex pattern in lexicographic order.  Each prefix of j chosen
+vertices is held as a vertex mask, and its induced degree multiset is
+coded as the sum of 16^deg over its vertices (one hex digit per degree;
+with at most 10 vertices no digit overflows, so the code is the
+multiset).  A prefix is cut unless its code is the code of some j-vertex
+induced subgraph of the pattern.  The cut is sound: every j-subset of a
+copy of the pattern induces a j-vertex induced subgraph of the pattern,
+so a cut prefix extends to no copy.  The walk therefore meets every
+hitting k-subset in the same lexicographic order as an uncut scan, and
+its first hit is the lexicographically smallest, which makes every
+report deterministic.  A degree multiset does not fix a graph, so a full
+k-subset is decided by an exact isomorphism search.
+
+Patterns are capped as the isomorphism test is, and each builds its
+codes once, from its C(k, j) subsets for every j.  Hosts are bounded only
+by ``MAX_VERTICES``.  ``family_check`` scans every family in one loop over
+its patterns, the odd holes and antiholes by ascending length; those are
+built on first use, once per length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator
 
 from .graphs import (
     Graph,
+    _mapping_exists,
+    bits,
     check_cap,
     complement,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    induced_subgraph,
-    is_isomorphic,
     path_graph,
 )
 
+
+def _degree_code(adj: tuple[int, ...], mask: int) -> int:
+    """Sum of 16^deg over the vertices of ``mask``, degrees counted within it."""
+    return sum(1 << 4 * (adj[v] & mask).bit_count() for v in bits(mask))
+
+
 @dataclass(frozen=True)
 class Pattern:
-    """A named forbidden graph, within the cap of ``is_isomorphic``."""
+    """A named forbidden graph, within the cap of ``is_isomorphic``.
+
+    ``codes[j]`` holds the degree code of every j-vertex induced subgraph
+    of ``graph``, for j = 0..n: the prefixes ``contains_induced`` extends.
+    """
 
     name: str
     graph: Graph
+    codes: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_cap("is_isomorphic", self.graph.n)
+        p = self.graph
+        codes: list[set[int]] = [set() for _ in range(p.n + 1)]
+        for mask in range(1 << p.n):
+            codes[mask.bit_count()].add(_degree_code(p.adj, mask))
+        object.__setattr__(self, "codes", tuple(map(frozenset, codes)))
 
 
 _K2 = complete_graph(2)
@@ -80,22 +109,42 @@ class FreeReport:
 def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
     """Lexicographically smallest vertex subset inducing ``pattern``, if any.
 
-    A subset is built and tested for isomorphism only when its induced
-    degree sequence, counted on the host's adjacency rows, is the pattern's.
+    A depth-first walk adds host vertices in ascending order, so it meets
+    the k-subsets (k = pattern order) in lexicographic order.  A j-vertex
+    prefix goes on only while its degree code is in ``pattern.codes[j]``;
+    a cut prefix lies in no copy of the pattern, so the first k-subset the
+    walk accepts is the first of all.  There, equal degree codes do not
+    yet mean isomorphic (C6 and 2K3), so a degree-ranked backtracking
+    search for an isomorphism onto the pattern decides.
     """
     p = pattern.graph
-    if p.n > g.n:
+    k, n = p.n, g.n
+    if k > n:
         return None
-    target_degrees = sorted(row.bit_count() for row in p.adj)
-    adj = g.adj
-    singles = [1 << v for v in range(g.n)]
-    for subset, members in zip(combinations(range(g.n), p.n), combinations(singles, p.n)):
-        mask = sum(members)
-        if sorted((adj[v] & mask).bit_count() for v in subset) != target_degrees:
-            continue
-        if is_isomorphic(induced_subgraph(g, subset), p):
-            return frozenset(subset)
-    return None
+    adj, codes = g.adj, pattern.codes
+    chosen: list[int] = []
+
+    def extend(start: int, mask: int, code: int) -> bool:
+        depth = len(chosen)
+        if depth == k:
+            ranks = {v: (adj[v] & mask).bit_count() for v in chosen}
+            return _mapping_exists(p, g, [row.bit_count() for row in p.adj], ranks)
+        allowed = codes[depth + 1]
+        for v in range(start, n - k + depth + 1):
+            # v adds 16^deg(v) and lifts each neighbour u from 16^d to 16^(d+1).
+            row = adj[v] & mask
+            grown = code + (1 << 4 * row.bit_count())
+            for u in chosen:
+                if row >> u & 1:
+                    grown += 15 << 4 * (adj[u] & mask).bit_count()
+            if grown in allowed:
+                chosen.append(v)
+                if extend(v + 1, mask | 1 << v, grown):
+                    return True
+                chosen.pop()
+        return False
+
+    return frozenset(chosen) if extend(0, 0, 0) else None
 
 
 def _scan_order(g: Graph, family: str) -> Iterator[Pattern]:
@@ -111,9 +160,14 @@ def _scan_order(g: Graph, family: str) -> Iterator[Pattern]:
         return
     check_cap("odd_holes_and_antiholes", g.n)
     for length in range(5, g.n + 1, 2):
-        hole = cycle_graph(length)
-        yield Pattern("C2k+1", hole)
-        yield Pattern("co-C2k+1", complement(hole))
+        yield from _odd_hole_patterns(length)
+
+
+@lru_cache(maxsize=None)
+def _odd_hole_patterns(length: int) -> tuple[Pattern, Pattern]:
+    """The hole and antihole of odd ``length``, built once per length."""
+    hole = cycle_graph(length)
+    return Pattern("C2k+1", hole), Pattern("co-C2k+1", complement(hole))
 
 
 def family_check(g: Graph, family: str) -> FreeReport:

@@ -399,8 +399,10 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return _canonical_search(g, True)[1]
 
 
-def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: list[int]) -> bool:
-    """Backtracking search for an adjacency-preserving bijection g1 -> g2."""
+def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: dict[int, int]) -> bool:
+    """Backtracking search for a bijection from g1 onto the vertices keyed in
+    ``ranks2``, mapping each vertex to one of equal rank and preserving
+    adjacency and non-adjacency: whether those vertices induce a copy of g1."""
     n = g1.n
     image = [-1] * n
     used = 0
@@ -410,8 +412,8 @@ def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: list[int]) 
         if v == n:
             return True
         row = g1.adj[v]
-        for w in range(n):
-            if used >> w & 1 or ranks1[v] != ranks2[w]:
+        for w, rank in ranks2.items():
+            if used >> w & 1 or ranks1[v] != rank:
                 continue
             ok = True
             for u in range(v):
@@ -438,4 +440,4 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     ranks1, ranks2 = _refine(g1), _refine(g2)
     if sorted(ranks1) != sorted(ranks2):
         return False
-    return _mapping_exists(g1, g2, ranks1, ranks2)
+    return _mapping_exists(g1, g2, ranks1, dict(enumerate(ranks2)))

@@ -310,9 +310,10 @@ def _equivalence_target(b: str, family: str, label: str) -> _Target:
 
 
 def _is_c4_p4_free(g: Graph) -> bool:
+    # P4 first: most graphs hold one, and the conjunction is order-free.
     return (
-        contains_induced(g, PATTERNS["C4"]) is None
-        and contains_induced(g, PATTERNS["P4"]) is None
+        contains_induced(g, PATTERNS["P4"]) is None
+        and contains_induced(g, PATTERNS["C4"]) is None
     )
 
 

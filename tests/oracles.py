@@ -17,6 +17,7 @@ holds the input helpers the test modules share, ``small_classes`` and
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, gcd, inf
 
@@ -199,16 +200,33 @@ def brute_min_code(g: Graph) -> tuple[int, ...]:
 
 
 def brute_contains_induced(g: Graph, p: Graph) -> frozenset[int] | None:
-    """First subset (lexicographic) inducing p, by trying all bijections."""
+    """First subset (lexicographic) inducing p, by trying all bijections.
+
+    A k-subset induces p exactly when its upper-triangle adjacency code,
+    read in ascending vertex order, is p's code under one of its k!
+    vertex orderings.
+    """
+    codes = _ordering_codes(p)
+    g_adjacent = _adjacent(g)
     for subset in combinations(range(g.n), p.n):
-        for perm in permutations(subset):
-            if all(
-                g.has_edge(perm[i], perm[j]) == p.has_edge(i, j)
-                for i in range(p.n)
-                for j in range(i + 1, p.n)
-            ):
-                return frozenset(subset)
+        if tuple(map(g_adjacent, combinations(subset, 2))) in codes:
+            return frozenset(subset)
     return None
+
+
+@lru_cache(maxsize=None)
+def _ordering_codes(p: Graph) -> frozenset[tuple[bool, ...]]:
+    """p's upper-triangle adjacency code under every vertex ordering, built
+    once per pattern."""
+    p_adjacent = _adjacent(p)
+    return frozenset(
+        tuple(map(p_adjacent, combinations(order, 2))) for order in permutations(range(p.n))
+    )
+
+
+def _adjacent(g: Graph):
+    """Membership test of g's ordered vertex pairs (u, v) that are edges."""
+    return {(u, v) for u in range(g.n) for v in range(g.n) if g.has_edge(u, v)}.__contains__
 
 
 def _induces_cycle(subset: tuple[int, ...], adjacent) -> bool:

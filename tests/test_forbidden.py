@@ -1,10 +1,15 @@
 """Pattern detection against a brute-force bijection oracle."""
 
+import os
 import random
-from itertools import combinations
+import subprocess
+import sys
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+import abperfect
 from abperfect import (
     FAMILIES,
     PATTERNS,
@@ -26,7 +31,7 @@ from abperfect import (
     pseudoachromatic_number,
     to_graph6,
 )
-from oracles import brute_contains_induced, brute_odd_hole, small_classes
+from oracles import brute_contains_induced, brute_odd_hole, seeded_gnp, small_classes
 
 
 def test_detection_examples():
@@ -73,6 +78,57 @@ def test_detection_matches_oracle_every_class_at_7():
             assert contains_induced(g, pattern) == brute_contains_induced(
                 g, pattern.graph
             )
+
+
+@pytest.mark.slow
+def test_detection_matches_oracle_every_class_at_8():
+    for g in enumerate_graphs(8):
+        for pattern in PATTERNS.values():
+            assert contains_induced(g, pattern) == brute_contains_induced(
+                g, pattern.graph
+            ), (to_graph6(g), pattern.name)
+
+
+def test_detection_matches_oracle_on_9_to_32_vertices():
+    grid = product(range(9, 14), (0.1, 0.25, 0.5, 0.75, 0.9))
+    hosts = [seeded_gnp(seed, n, p) for seed, (n, p) in enumerate(grid)]
+    hosts += [complete_graph(13), empty_graph(13), complete_graph(32)]
+    absent = dict.fromkeys(PATTERNS, 0)
+    for g in hosts:
+        for pattern in PATTERNS.values():
+            got = contains_induced(g, pattern)
+            assert got == brute_contains_induced(g, pattern.graph), (to_graph6(g), pattern.name)
+            absent[pattern.name] += got is None
+    # Every pattern is found in some hosts and missing from others.
+    assert all(0 < count < len(hosts) for count in absent.values()), absent
+
+
+def test_equal_degree_codes_are_decided_by_isomorphism():
+    # The hosts' vertices are ordered so that each prefix of the one full
+    # subset passes the degree-code cut; only the exact test rejects it.
+    c6 = Pattern("C6", cycle_graph(6))
+    two_triangles = from_edge_list(6, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5)])
+    assert contains_induced(two_triangles, c6) is None
+    c6_and_k1 = disjoint_union(cycle_graph(6), complete_graph(1))
+    assert contains_induced(c6_and_k1, c6) == frozenset(range(6))
+    c7 = Pattern("C7", cycle_graph(7))
+    k3_and_c4 = from_edge_list(7, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 6), (3, 5), (5, 6)])
+    assert contains_induced(k3_and_c4, c7) is None
+
+
+def test_odd_hole_patterns_are_built_on_first_use():
+    code = (
+        "from abperfect import cycle_graph, family_check\n"
+        "from abperfect.forbidden import _odd_hole_patterns, _scan_order\n"
+        "assert _odd_hole_patterns.cache_info().currsize == 0\n"
+        "family_check(cycle_graph(9), 'odd_holes_and_antiholes')\n"
+        "first = list(_scan_order(cycle_graph(9), 'odd_holes_and_antiholes'))\n"
+        "again = list(_scan_order(cycle_graph(9), 'odd_holes_and_antiholes'))\n"
+        "assert all(a is b for a, b in zip(first, again)) and len(first) == 6\n"
+        "assert _odd_hole_patterns.cache_info().currsize == 3\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(abperfect.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_family_examples():
