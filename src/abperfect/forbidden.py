@@ -1,25 +1,11 @@
 """Fixed pattern library and induced-subgraph detection.
 
-``contains_induced`` is one depth-first walk over the host's vertices in
-ascending order, adding one vertex per level, so it meets the k-subsets
-of a k-vertex pattern in lexicographic order.  Each prefix of j chosen
-vertices is held as a vertex mask, and its induced degree multiset is
-coded as the sum of 16^deg over its vertices (one hex digit per degree;
-with at most 10 vertices no digit overflows, so the code is the
-multiset).  A prefix is cut unless its code is the code of some j-vertex
-induced subgraph of the pattern.  The cut is sound: every j-subset of a
-copy of the pattern induces a j-vertex induced subgraph of the pattern,
-so a cut prefix extends to no copy.  The walk therefore meets every
-hitting k-subset in the same lexicographic order as an uncut scan, and
-its first hit is the lexicographically smallest, which makes every
-report deterministic.  A degree multiset does not fix a graph, so a full
-k-subset is decided by an exact isomorphism search.
-
-Patterns are capped as the isomorphism test is, and each builds its
-codes once, from its C(k, j) subsets for every j.  Hosts are bounded only
-by ``MAX_VERTICES``.  ``family_check`` scans every family in one loop over
-its patterns, the odd holes and antiholes by ascending length; those are
-built on first use, once per length.
+``contains_induced`` finds the lexicographically smallest vertex subset
+inducing a pattern by one pruned depth-first walk; its docstring gives the
+argument.  Patterns are capped as the isomorphism test is and build their
+pruning codes once; hosts are bounded only by ``MAX_VERTICES``.
+``family_check`` scans every family in one loop over its patterns, the odd
+holes and antiholes by ascending length, each built on first use.
 """
 
 from __future__ import annotations
@@ -110,25 +96,29 @@ def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
     """Lexicographically smallest vertex subset inducing ``pattern``, if any.
 
     A depth-first walk adds host vertices in ascending order, so it meets
-    the k-subsets (k = pattern order) in lexicographic order.  A j-vertex
-    prefix goes on only while its degree code is in ``pattern.codes[j]``;
-    a cut prefix lies in no copy of the pattern, so the first k-subset the
-    walk accepts is the first of all.  There, equal degree codes do not
-    yet mean isomorphic (C6 and 2K3), so a degree-ranked backtracking
-    search for an isomorphism onto the pattern decides.
+    the k-subsets (k = pattern order) in lexicographic order.  A prefix of
+    j vertices carries its mask and its degree code, the sum of 16^deg over
+    its induced degrees (a hex digit per degree; with at most 10 vertices
+    no digit overflows, so the code is the degree multiset), and goes on
+    only while the code is in ``pattern.codes[j]``.  The cut is sound:
+    each j-subset of a copy of the pattern induces a j-vertex induced
+    subgraph of it, so a cut prefix extends to no copy.  The walk thus
+    meets every hitting k-subset in the order an uncut scan would, and its
+    first hit is the lexicographically smallest.  Equal degree codes do not
+    mean isomorphic (C6 and 2K3), so a full k-subset is decided by a
+    degree-ranked backtracking search for an isomorphism onto the pattern.
     """
     p = pattern.graph
     k, n = p.n, g.n
-    if k > n:
-        return None
     adj, codes = g.adj, pattern.codes
+    degrees = [row.bit_count() for row in p.adj]
     chosen: list[int] = []
 
     def extend(start: int, mask: int, code: int) -> bool:
         depth = len(chosen)
         if depth == k:
             ranks = {v: (adj[v] & mask).bit_count() for v in chosen}
-            return _mapping_exists(p, g, [row.bit_count() for row in p.adj], ranks)
+            return _mapping_exists(p, g, degrees, ranks)
         allowed = codes[depth + 1]
         for v in range(start, n - k + depth + 1):
             # v adds 16^deg(v) and lifts each neighbour u from 16^d to 16^(d+1).
