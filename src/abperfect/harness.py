@@ -11,6 +11,15 @@ parent maps to an earlier one, and a child with a deletion whose degree
 multiset only parents before its own have, so that an earlier parent
 already produced its class.
 
+A level can be restricted to the classes free of some induced patterns.
+Such a class is hereditary: every deletion of a member is a member.  So
+the restricted level extends only the members one level down, which are
+the full representatives that avoid the patterns, in the same order, and
+drops each child that holds a pattern.  Every member arises from the
+same first (parent, mask) pair as in the full enumeration, so its
+representative and its place in the order are the same.  ``lemma1``
+enumerates only the (P4, C4)-free classes this way.
+
 A sweep walks those classes bottom-up, and the theorem is one check per
 class over the graph, its solved invariants and its ab-perfect flags,
 run where the class is solved.  The flags are hereditary first: a
@@ -30,7 +39,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .forbidden import PATTERNS, contains_induced, family_check
 from .graph6 import to_graph6
@@ -96,6 +105,11 @@ def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -
     before any child of parent ``index``.  The code only has to be an
     isomorphism invariant: two degree multisets sharing a code would only
     raise ``last``.  g - (n-1) is the parent itself and is not tested.
+
+    A code that no representative has reads as -1.  The full level below
+    has every class, so this never happens there.  On a level restricted
+    to a hereditary class it means g - v is outside the class, so g is
+    outside it too and is skipped as well.
     """
     weights = _degree_weights(rows)
     code = sum(weights)
@@ -107,27 +121,51 @@ def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -
             low = row & -row
             lost += drops[low.bit_length() - 1]
             row ^= low
-        if last[code - lost] < index:
+        if last.get(code - lost, -1) < index:
             return True
     return False
 
 
 @lru_cache(maxsize=None)
-def _canonical_level(n: int) -> dict[bytes, Graph]:
-    """One representative per isomorphism class on n vertices, keyed by canonical form.
+def _canonical_level(n: int, free_of: tuple[str, ...]) -> dict[bytes, Graph]:
+    """One representative per class on n vertices free of ``free_of``, keyed by canonical form.
 
-    Each class keeps its first child in parent order and then mask order;
-    pruning skips only children that are never first.  Orbit pruning
-    (``_extension_masks``) skips a mask an automorphism of the parent
-    maps lower; earlier-parent pruning (``_produced_earlier``) skips a
-    child with a deletion isomorphic to an earlier parent.  Together they
-    leave 1, 2, 4, 11, 34, 174, 1,623 and 32,817 children to label at
-    levels 1 to 8, against 79,264 at level 8 with orbit pruning alone.
+    ``free_of`` names ``PATTERNS``; with none, the level holds every
+    isomorphism class.  Each class keeps its first child in parent order
+    and then mask order; pruning skips only children that are never
+    first.  Orbit pruning (``_extension_masks``) skips a mask an
+    automorphism of the parent maps lower; earlier-parent pruning
+    (``_produced_earlier``) skips a child with a deletion isomorphic to an
+    earlier parent.  Together they leave 1, 2, 4, 11, 34, 174, 1,623 and
+    32,817 children to label at levels 1 to 8 of the full enumeration,
+    against 79,264 at level 8 with orbit pruning alone.
+
+    Pattern-freeness is hereditary, so a restricted level is exact:
+    - every deletion of a member is a member, so the members one level
+      down are exactly the full representatives free of the patterns, in
+      the same order, and they are the only parents a member can have;
+    - a member's first (parent, mask) pair in the full enumeration has a
+      member parent, survives orbit pruning as before, and survives
+      earlier-parent pruning, which skips only children outside the class
+      or isomorphic to a child of an earlier member parent;
+    so each member has the same representative, in the same order.  A
+    child that holds a pattern is dropped before it is labelled: the
+    (P4, C4)-free levels label 1, 2, 4, 9, 20, 48, 115 and 288 children.
+
+    Every caller passes ``free_of`` positionally as a tuple, so each
+    level is cached once per pattern set: at most 8 levels (the
+    enumeration cap) for the full enumeration and for each pattern set
+    that a target names or a caller asks for.
     """
+    patterns = [PATTERNS[name] for name in free_of]
+
+    def free(g: Graph) -> bool:
+        return all(contains_induced(g, pattern) is None for pattern in patterns)
+
     if n == 1:
         g = empty_graph(1)
-        return {canonical_form(g): g}
-    parents = _canonical_level(n - 1).values()
+        return {canonical_form(g): g} if free(g) else {}
+    parents = _canonical_level(n - 1, free_of).values()
     last = {sum(_degree_weights(parent.adj)): i for i, parent in enumerate(parents)}
     seen: dict[bytes, Graph] = {}
     new = 1 << (n - 1)
@@ -139,16 +177,28 @@ def _canonical_level(n: int) -> dict[bytes, Graph]:
             if _produced_earlier(rows, i, last):
                 continue
             g = _trusted(n, rows)
+            if not free(g):
+                continue
             key = canonical_form(g)
             if key not in seen:
                 seen[key] = g
     return seen
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """Stream one graph per isomorphism class on n vertices."""
+def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
+    """Stream one graph per isomorphism class on n vertices.
+
+    ``free_of`` names patterns of ``forbidden.PATTERNS``; only the classes
+    containing none of them as an induced subgraph are streamed, with the
+    representatives and in the order of the full enumeration.  The
+    patterns are tested in the order given.
+    """
     check_cap("canonical enumeration", n)
-    yield from _canonical_level(n).values()
+    free_of = tuple(free_of)
+    unknown = [name for name in free_of if name not in PATTERNS]
+    if unknown:
+        raise ValueError(f"unknown patterns {unknown}, expected names from {sorted(PATTERNS)}")
+    yield from _canonical_level(n, free_of).values()
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +230,12 @@ class _Target:
     ``invariants`` are solved on every class, those of a pair in ``pairs``
     only where the pair can still hold (see ``_live_pairs``).  ``flags``
     maps each pair (a, b) to whether the class is a-b-perfect.  A graph
-    failing ``hypothesis`` is not checked or counted.  ``witnesses``
-    checks graphs outside the table after it, appending to the violations
-    and returning how many graphs it checked.
+    failing ``hypothesis`` is not checked or counted.  ``free_of`` names
+    ``PATTERNS`` that every graph passing ``hypothesis`` is free of; the
+    table then enumerates only the classes free of them (see
+    ``_canonical_level``), and the hypothesis still tests each one.
+    ``witnesses`` checks graphs outside the table after it, appending to
+    the violations and returning how many graphs it checked.
     """
 
     check: Callable[[Graph, dict[str, int], Flags], str | None]
@@ -190,6 +243,7 @@ class _Target:
     invariants: tuple[str, ...] = ()
     hypothesis: Callable[[Graph], bool] | None = None
     witnesses: Callable[[list[tuple[str, str]]], int] | None = None
+    free_of: tuple[str, ...] = ()
 
 
 def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, str | None] | None:
@@ -207,19 +261,20 @@ def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, s
     return flags, target.check(g, values, flags)
 
 
-def _live_pairs(g: Graph, pairs: tuple[Pair, ...], below: LevelFlags) -> tuple[Pair, ...]:
-    """The pairs for which every one-vertex deletion of g is perfect.
+def _live_pairs(g: Graph, target: _Target, below: LevelFlags) -> tuple[Pair, ...]:
+    """The pairs of ``target`` for which every one-vertex deletion of g is perfect.
 
     Each deletion g - v is built by shifting the higher bits of each row
     down one place and its flags are read from ``below`` by those rows.
     On a miss the deletion is labelled once with its canonical form and
-    its class representative's flags are stored under its rows.  g - (n-1)
-    is g's enumeration parent, a representative one level down, so it is
-    read first and never labelled.  The other deletions are read only
-    while some pair is still alive.
+    its class representative's flags, from the target's own level one
+    down, are stored under its rows.  g - (n-1) is g's enumeration parent,
+    a representative one level down, so it is read first and never
+    labelled.  The other deletions are read only while some pair is
+    still alive.
     """
     n = g.n
-    live = pairs
+    live = target.pairs
     for v in (n - 1, *range(n - 1)):
         if not live:
             break
@@ -230,7 +285,7 @@ def _live_pairs(g: Graph, pairs: tuple[Pair, ...], below: LevelFlags) -> tuple[P
         flags = below.get(deleted)
         if flags is None:
             key = canonical_form(_trusted(n - 1, deleted))
-            flags = below[deleted] = below[_canonical_level(n - 1)[key].adj]
+            flags = below[deleted] = below[_canonical_level(n - 1, target.free_of)[key].adj]
         live = tuple(pair for pair in live if flags[pair])
     return live
 
@@ -253,8 +308,8 @@ def _table_rows(
     check = partial(_check_row, theorem)
     below: LevelFlags = {(): dict.fromkeys(target.pairs, True)}
     for n in range(1, n_max + 1):
-        graphs = list(enumerate_graphs(n))
-        lives = [_live_pairs(g, target.pairs, below) for g in graphs]
+        graphs = list(enumerate_graphs(n, target.free_of))
+        lives = [_live_pairs(g, target, below) for g in graphs]
         if pool is None:
             results = map(check, graphs, lives)
         else:
@@ -383,7 +438,7 @@ _TARGETS: dict[str, _Target] = {
     "theorem4": _Target(_check_theorem4, pairs=(("omega", "psi"), ("chi", "psi"))),
     "theorem1_cs": _equivalence_target("gamma", "p4_only", "p4"),
     "theorem2_cs": _equivalence_target("alpha", "achro_triple", "triple"),
-    "lemma1": _Target(_check_lemma1, hypothesis=_lemma1_filter),
+    "lemma1": _Target(_check_lemma1, hypothesis=_lemma1_filter, free_of=("P4", "C4")),
     "interpolation_hhp": _interpolation_target("proper_complete", "proper complete", "alpha"),
     "interpolation_grundy": _interpolation_target("grundy", "Grundy", "gamma"),
     "figure3_inclusions": _Target(
@@ -469,7 +524,7 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[s
     target = _TARGETS[theorem]
     workers = 1
     if jobs > 1:
-        classes = sum(len(_canonical_level(n)) for n in range(1, n_max + 1))
+        classes = sum(len(_canonical_level(n, target.free_of)) for n in range(1, n_max + 1))
         workers = _worker_count(jobs, classes)
     pool: Executor | nullcontext = nullcontext()
     broken: tuple[type[Exception], ...] = ()

@@ -33,8 +33,10 @@ from abperfect import (
     to_graph6,
 )
 from abperfect import harness, solvers
+from abperfect.forbidden import PATTERNS
 from oracles import (
     brute_complete_counts,
+    brute_contains_induced,
     brute_grundy_counts,
     isomorphism_class_count,
     labeled_graphs,
@@ -64,6 +66,10 @@ def test_canonical_counts_match_cycle_index_oracle():
 def test_enumeration_caps_and_modes():
     with pytest.raises(CapacityError):
         next(enumerate_graphs(9))
+    with pytest.raises(CapacityError):
+        next(enumerate_graphs(9, ("P4", "C4")))
+    with pytest.raises(ValueError, match="unknown patterns"):
+        next(enumerate_graphs(4, ("P4", "K5")))
 
 
 def test_enumeration_is_deterministic():
@@ -100,7 +106,7 @@ def test_earlier_parent_pruning_skips_only_children_an_earlier_parent_produced()
     # children of levels 2..7 number 2, 6, 20, 90, 544 and 5,096.
     skipped = 0
     for n in range(2, 8):
-        below = harness._canonical_level(n - 1)
+        below = harness._canonical_level(n - 1, ())
         index = {key: j for j, key in enumerate(below)}
         last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below.values())}
         for i, parent in enumerate(below.values()):
@@ -128,8 +134,75 @@ def test_cold_enumeration_labels_pinned_children(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(harness, "canonical_form", counted)
-    cold(7)
+    cold(7, ())
     assert [labelled.count(n) for n in range(1, 8)] == [1, 2, 4, 11, 34, 174, 1_623]
+    # A restricted level drops a child holding a pattern before labelling
+    # it, and builds no full level on the way.
+    labelled.clear()
+    cold(8, ("P4", "C4"))
+    assert [labelled.count(n) for n in range(1, 9)] == [1, 2, 4, 9, 20, 48, 115, 288]
+    assert cold.cache_info().currsize == 7 + 8
+
+
+def _assert_restricted_levels_filter_the_full_ones(n_values):
+    # The filter is the oracle's pattern test, which tries every bijection
+    # of every subset and shares no code with contains_induced.
+    for free_of in (("P4", "C4"), ("P4",)):
+        patterns = [PATTERNS[name].graph for name in free_of]
+        for n in n_values:
+            filtered = [
+                g
+                for g in enumerate_graphs(n)
+                if all(brute_contains_induced(g, p) is None for p in patterns)
+            ]
+            assert list(enumerate_graphs(n, free_of)) == filtered, (free_of, n)
+
+
+def test_restricted_levels_equal_the_filtered_full_levels():
+    _assert_restricted_levels_filter_the_full_ones(range(1, 8))
+
+
+@pytest.mark.slow
+def test_restricted_levels_equal_the_filtered_full_levels_at_8():
+    _assert_restricted_levels_filter_the_full_ones([8])
+
+
+def test_restricted_level_counts_are_pinned():
+    # (P4, C4)-free graphs are the trivially perfect graphs, one per rooted
+    # tree on n + 1 vertices (OEIS A000081 shifted by one); P4-free graphs
+    # are the cographs (A000084).
+    for free_of, counts in (
+        (("P4", "C4"), [1, 2, 4, 9, 20, 48, 115, 286]),
+        (("P4",), [1, 2, 4, 10, 24, 66, 180, 522]),
+    ):
+        assert [sum(1 for _ in enumerate_graphs(n, free_of)) for n in range(1, 9)] == counts
+
+
+def test_restricted_pruning_skips_only_children_outside_or_produced_earlier():
+    # On the (P4, C4)-free levels a skipped child either holds a pattern,
+    # by the oracle's test, or has a deletion that is the class of a
+    # member parent before its own, by canonical_form.  A free child's
+    # deletions are all free, so each is found one level down.
+    free_of = ("P4", "C4")
+    patterns = [PATTERNS[name].graph for name in free_of]
+    skipped = outside = 0
+    for n in range(2, 9):
+        below = harness._canonical_level(n - 1, free_of)
+        index = {key: j for j, key in enumerate(below)}
+        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below.values())}
+        for i, parent in enumerate(below.values()):
+            for mask in harness._extension_masks(parent):
+                rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+                g = Graph(n, rows + [mask])
+                if not harness._produced_earlier(g.adj, i, last):
+                    continue
+                skipped += 1
+                if any(brute_contains_induced(g, p) is not None for p in patterns):
+                    outside += 1
+                    continue
+                deletions = (induced_subgraph(g, set(range(n)) - {v}) for v in range(n - 1))
+                assert min(index[canonical_form(h)] for h in deletions) < i, to_graph6(g)
+    assert (skipped, outside) == (5_907, 4_647)
 
 
 def test_enumeration_matches_networkx_atlas():
@@ -210,6 +283,68 @@ def test_sweep_with_worker_pool_matches_serial(monkeypatch):
         for theorem in sorted(harness._TARGETS):
             pooled = list(harness._table_rows(theorem, 5, pool))
             assert pooled == list(harness._table_rows(theorem, 5)), theorem
+
+
+def _record_levels(monkeypatch):
+    """A fresh level cache that records every (n, free_of) asked of it."""
+    cold = lru_cache(maxsize=None)(harness._canonical_level.__wrapped__)
+    asked = []
+
+    def recording(n, free_of):
+        asked.append((n, free_of))
+        return cold(n, free_of)
+
+    monkeypatch.setattr(harness, "_canonical_level", recording)
+    return cold, asked
+
+
+def test_lemma1_pool_counts_workers_on_its_own_levels(monkeypatch):
+    # Sizing the pool must not build the full levels that lemma1 skips.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cold, asked = _record_levels(monkeypatch)
+    serial = sweep("lemma1", 7, jobs=1)
+    parallel = sweep("lemma1", 7, jobs=2)
+    assert (serial.checked, serial.violations) == (parallel.checked, parallel.violations)
+    assert serial.checked == 85
+    assert {free_of for _, free_of in asked} == {("P4", "C4")}
+    assert cold.cache_info().currsize == 7
+
+
+def test_restricted_pair_table_reads_only_its_own_levels(monkeypatch):
+    # No target has both pairs and patterns, so a synthetic one checks that
+    # a labelled deletion is looked up on the restricted level below and
+    # that the rows are those of the full table's free classes.
+    pairs = (("omega", "psi"), ("chi", "psi"))
+    for theorem, free_of in (("full", ()), ("restricted", ("P4", "C4"))):
+        target = harness._Target(lambda g, values, flags: None, pairs, free_of=free_of)
+        monkeypatch.setitem(harness._TARGETS, theorem, target)
+    members = {g.adj for n in range(1, 8) for g in enumerate_graphs(n, ("P4", "C4"))}
+    expected = [row for row in harness._table_rows("full", 7) if row[0].adj in members]
+    cold, asked = _record_levels(monkeypatch)
+    cold(7, ("P4", "C4"))
+    # The levels are warm, so every label below is a deletion's.
+    labelled = []
+    real = harness.canonical_form
+
+    def counted(g):
+        labelled.append(g)
+        return real(g)
+
+    monkeypatch.setattr(harness, "canonical_form", counted)
+    assert list(harness._table_rows("restricted", 7)) == expected
+    assert {free_of for _, free_of in asked} == {("P4", "C4")}
+    assert len(labelled) == 127
+
+
+def test_each_level_is_cached_once(monkeypatch):
+    # The sweep's levels, its labelled deletions' lookups one level down and
+    # the public stream all reach one cache entry per level.
+    cold = lru_cache(maxsize=None)(harness._canonical_level.__wrapped__)
+    monkeypatch.setattr(harness, "_canonical_level", cold)
+    sweep("theorem4", 6)
+    list(enumerate_graphs(6))
+    list(enumerate_graphs(6, []))
+    assert cold.cache_info().currsize == 6
 
 
 def test_sweep_argument_validation():
@@ -362,8 +497,10 @@ def test_pair_sweep_labels_each_deletion_at_most_once(monkeypatch):
     # by those rows, the enumeration parent among them; any other is
     # labelled once per sweep.  The enumeration is warmed first, so every
     # canonical_form call that harness makes here labels a deletion.
-    harness._canonical_level(7)
-    representatives = {h.adj for n in range(1, 7) for h in harness._canonical_level(n).values()}
+    harness._canonical_level(7, ())
+    representatives = {
+        h.adj for n in range(1, 7) for h in harness._canonical_level(n, ()).values()
+    }
     labelled = []
     real = harness.canonical_form
 
@@ -471,7 +608,7 @@ def test_cs_sweeps_and_witnesses_report_an_off_by_one(monkeypatch):
     # gamma(P4) = 3 read as 2 makes P4 omega-gamma-perfect although it is
     # not P4-free, and makes the P4 witness perfect for the pair it must
     # fail; alpha(P4) read as 2 breaks theorem2_cs the same way.
-    p4 = to_graph6(harness._canonical_level(4)[canonical_form(path_graph(4))])
+    p4 = to_graph6(harness._canonical_level(4, ())[canonical_form(path_graph(4))])
     with monkeypatch.context() as patch:
         _off_by_one(patch, "gamma", path_graph(4), -1)
         assert sweep("theorem1_cs", 4).violations == [
@@ -518,6 +655,35 @@ def test_lemma1_filters_to_hypothesis_class():
     # rooted-tree numbers 1, 1, 2, 4, 9, 20, 48.
     assert sweep("lemma1", 6).checked == 1 + 1 + 2 + 4 + 9 + 20
     assert sweep("lemma1", 7).checked == 1 + 1 + 2 + 4 + 9 + 20 + 48
+
+
+def test_lemma1_reports_every_class_of_its_hypothesis_in_full_order(monkeypatch):
+    # With no universal vertex anywhere, every class lemma1 checks is a
+    # violation, so its report lists the classes it walks: they must be
+    # the full levels filtered by its hypothesis, in their order.
+    monkeypatch.setattr(harness, "universal_vertices", lambda g: [])
+    expected = [
+        to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n) if harness._lemma1_filter(g)
+    ]
+    report = sweep("lemma1", 7)
+    assert report.checked == len(expected) == 85
+    assert [g6 for g6, _ in report.violations] == expected
+
+
+def test_restricted_targets_hypotheses_reject_their_patterns():
+    # A target may enumerate only the classes free of its patterns because
+    # its hypothesis rejects every graph holding one: each pattern's own
+    # graph, and every class up to 7 vertices that holds one.
+    restricted = {theorem: t for theorem, t in harness._TARGETS.items() if t.free_of}
+    assert set(restricted) == {"lemma1"}
+    classes = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for theorem, target in restricted.items():
+        for name in target.free_of:
+            pattern = PATTERNS[name].graph
+            assert not target.hypothesis(pattern), (theorem, name)
+            for g in classes:
+                if target.hypothesis(g):
+                    assert brute_contains_induced(g, pattern) is None, (theorem, to_graph6(g))
 
 
 def test_sweep_report_formats():
