@@ -339,8 +339,7 @@ def test_restricted_pair_table_reads_only_its_own_levels(monkeypatch):
 def test_each_level_is_cached_once(monkeypatch):
     # The sweep's levels, its labelled deletions' lookups one level down and
     # the public stream all reach one cache entry per level.
-    cold = lru_cache(maxsize=None)(harness._canonical_level.__wrapped__)
-    monkeypatch.setattr(harness, "_canonical_level", cold)
+    cold, _ = _record_levels(monkeypatch)
     sweep("theorem4", 6)
     list(enumerate_graphs(6))
     list(enumerate_graphs(6, []))
