@@ -20,16 +20,21 @@ same first (parent, mask) pair as in the full enumeration, so its
 representative and its place in the order are the same.  ``lemma1``
 enumerates only the (P4, C4)-free classes this way.
 
-A sweep walks those classes bottom-up, and the theorem is one check per
-class over the graph, its solved invariants and its ab-perfect flags,
-run where the class is solved.  The flags are hereditary first: a
-class's one-vertex deletions are read one level down, its enumeration
-parent first, and a pair is solved on the class only while every
-deletion read so far is perfect for it.  One dict per level maps a
-deletion's rows to its flags, seeded with the empty graph's all-True
-flags, so a sweep labels each deletion at most once.  Sweeps stop
-collecting after 100 violations and are deterministic: identical
-reports (elapsed time aside) across runs and across worker counts.
+A table sweep walks those classes bottom-up, and the theorem is one
+check per class over the graph, its solved invariants and its
+ab-perfect flags, run where the class is solved.  The flags are
+hereditary first: a class's one-vertex deletions are read one level
+down, its enumeration parent first, and a pair is solved on the class
+only while every deletion read so far is perfect for it.  One dict per
+level maps a deletion's rows to its flags, seeded with the empty graph's
+all-True flags, so a sweep labels each deletion at most once.
+
+Every theorem id is a stream of rows (graph, details), one per checked
+graph, whose details list its violations (none when it passes): the
+table's classes and then its target's witnesses, or ``lemma2``'s grid.
+``sweep`` alone counts the rows and keeps the first 100 violations.
+Reports are deterministic: identical (elapsed time aside) across runs
+and across worker counts.
 """
 
 from __future__ import annotations
@@ -217,6 +222,7 @@ def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
 Pair = tuple[str, str]
 Flags = dict[Pair, bool]
 LevelFlags = dict[tuple[int, ...], Flags]
+Row = tuple[Graph, list[str]]
 
 
 @dataclass(frozen=True)
@@ -229,36 +235,38 @@ class _Target:
     chain reaches the check instead of raising: the invariants in
     ``invariants`` are solved on every class, those of a pair in ``pairs``
     only where the pair can still hold (see ``_live_pairs``).  ``flags``
-    maps each pair (a, b) to whether the class is a-b-perfect.  A graph
-    failing ``hypothesis`` is not checked or counted.  ``free_of`` names
-    ``PATTERNS`` that every graph passing ``hypothesis`` is free of; the
-    table then enumerates only the classes free of them (see
-    ``_canonical_level``), and the hypothesis still tests each one.
-    ``witnesses`` checks graphs outside the table after it, appending to
-    the violations and returning how many graphs it checked.
+    maps each pair (a, b) to whether the class is a-b-perfect.  The table
+    holds only the classes free of the ``PATTERNS`` that ``free_of`` names
+    (see ``_canonical_level``).  A class failing ``hypothesis`` is not
+    checked or counted, but still gets its flags for the classes above.
+    ``witnesses()`` streams rows of graphs outside the table, checked
+    after it.
     """
 
     check: Callable[[Graph, dict[str, int], Flags], str | None]
     pairs: tuple[Pair, ...] = ()
     invariants: tuple[str, ...] = ()
     hypothesis: Callable[[Graph], bool] | None = None
-    witnesses: Callable[[list[tuple[str, str]]], int] | None = None
+    witnesses: Callable[[], Iterator[Row]] | None = None
     free_of: tuple[str, ...] = ()
 
 
-def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, str | None] | None:
-    """Worker body: g's flags and its check's detail, or None off the hypothesis.
+def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, list[str] | None]:
+    """Worker body: g's flags and its check's details, None off the hypothesis.
 
-    Solves the target's own invariants and both sides of each ``live``
-    pair, each invariant once; a pair that is not live is False unsolved.
+    Solves both sides of each ``live`` pair and, on the hypothesis, the
+    target's own invariants, each invariant once; a pair that is not live
+    is False unsolved.
     """
     target = _TARGETS[theorem]
-    if target.hypothesis is not None and not target.hypothesis(g):
-        return None
-    wanted = set(target.invariants).union(*live)
+    checked = target.hypothesis is None or target.hypothesis(g)
+    wanted = set(target.invariants if checked else ()).union(*live)
     values = {name: solve(g) for name, solve in INVARIANT_SOLVERS.items() if name in wanted}
     flags = {(a, b): (a, b) in live and values[a] == values[b] for a, b in target.pairs}
-    return flags, target.check(g, values, flags)
+    if not checked:
+        return flags, None
+    detail = target.check(g, values, flags)
+    return flags, [] if detail is None else [detail]
 
 
 def _live_pairs(g: Graph, target: _Target, below: LevelFlags) -> tuple[Pair, ...]:
@@ -292,7 +300,7 @@ def _live_pairs(g: Graph, target: _Target, below: LevelFlags) -> tuple[Pair, ...
 
 def _table_rows(
     theorem: str, n_max: int, pool: Executor | None = None
-) -> Iterator[tuple[Graph, tuple[Flags, str | None] | None]]:
+) -> Iterator[tuple[Graph, tuple[Flags, list[str] | None]]]:
     """Each class up to n_max vertices with its ``_check_row`` result, in enumeration order.
 
     For each level, the calling process first reads the flags of every
@@ -316,8 +324,7 @@ def _table_rows(
             results = pool.map(check, graphs, lives, chunksize=16)
         here: LevelFlags = {}
         for g, result in zip(graphs, results):
-            if result is not None and result[0]:
-                here[g.adj] = result[0]
+            here[g.adj] = result[0]
             yield g, result
         below = here
 
@@ -362,18 +369,6 @@ def _equivalence_target(b: str, family: str, label: str) -> _Target:
         return None
 
     return _Target(check, pairs=(("omega", b), ("chi", b)))
-
-
-def _is_c4_p4_free(g: Graph) -> bool:
-    # P4 first: most graphs hold one, and the conjunction is order-free.
-    return (
-        contains_induced(g, PATTERNS["P4"]) is None
-        and contains_induced(g, PATTERNS["C4"]) is None
-    )
-
-
-def _lemma1_filter(g: Graph) -> bool:
-    return is_connected(g) and _is_c4_p4_free(g)
 
 
 def _check_lemma1(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
@@ -422,15 +417,16 @@ SEPARATION_WITNESSES: tuple[tuple[str, Graph, tuple[str, str], tuple[str, str]],
 )
 
 
-def _sweep_figure3_witnesses(violations: list[tuple[str, str]]) -> int:
+def _sweep_figure3_witnesses() -> Iterator[Row]:
     for name, g, perfect_pair, imperfect_pair in SEPARATION_WITNESSES:
-        for (a, b), expected, wrong in (
-            (perfect_pair, True, "not"),
-            (imperfect_pair, False, "unexpectedly"),
-        ):
-            if is_ab_perfect(g, a, b).perfect != expected:
-                violations.append((to_graph6(g), f"witness {name} {wrong} {a}-{b}-perfect"))
-    return len(SEPARATION_WITNESSES)
+        yield g, [
+            f"witness {name} {wrong} {a}-{b}-perfect"
+            for (a, b), expected, wrong in (
+                (perfect_pair, True, "not"),
+                (imperfect_pair, False, "unexpectedly"),
+            )
+            if is_ab_perfect(g, a, b).perfect != expected
+        ]
 
 
 _TARGETS: dict[str, _Target] = {
@@ -438,7 +434,7 @@ _TARGETS: dict[str, _Target] = {
     "theorem4": _Target(_check_theorem4, pairs=(("omega", "psi"), ("chi", "psi"))),
     "theorem1_cs": _equivalence_target("gamma", "p4_only", "p4"),
     "theorem2_cs": _equivalence_target("alpha", "achro_triple", "triple"),
-    "lemma1": _Target(_check_lemma1, hypothesis=_lemma1_filter, free_of=("P4", "C4")),
+    "lemma1": _Target(_check_lemma1, hypothesis=is_connected, free_of=("P4", "C4")),
     "interpolation_hhp": _interpolation_target("proper_complete", "proper complete", "alpha"),
     "interpolation_grundy": _interpolation_target("grundy", "Grundy", "gamma"),
     "figure3_inclusions": _Target(
@@ -477,14 +473,12 @@ class SweepReport:
         }
 
 
-def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
+def _sweep_lemma2(n_max: int) -> Iterator[Row]:
     """Two complete components plus isolated vertices keep omega = psi.
 
     Grid: component sizes 1..5 each, 0..3 isolated vertices, restricted
     to total order <= n_max.
     """
-    checked = 0
-    violations: list[tuple[str, str]] = []
     for m1 in range(1, 6):
         for m2 in range(1, 6):
             for t in range(4):
@@ -493,18 +487,10 @@ def _sweep_lemma2(n_max: int) -> tuple[int, list[tuple[str, str]]]:
                 g = disjoint_union(complete_graph(m1), complete_graph(m2))
                 if t:
                     g = disjoint_union(g, empty_graph(t))
-                checked += 1
                 expected = max(m1, m2)
                 omega, psi = INVARIANT_SOLVERS["omega"](g), INVARIANT_SOLVERS["psi"](g)
-                if not omega == psi == expected:
-                    violations.append(
-                        (
-                            to_graph6(g),
-                            f"m1={m1} m2={m2} t={t}: omega={omega} psi={psi} "
-                            f"expected {expected}",
-                        )
-                    )
-    return checked, violations
+                detail = f"m1={m1} m2={m2} t={t}: omega={omega} psi={psi} expected {expected}"
+                yield g, [] if omega == psi == expected else [detail]
 
 
 def _worker_count(jobs: int, items: int) -> int:
@@ -520,7 +506,7 @@ def _worker_count(jobs: int, items: int) -> int:
     return min(jobs, cpus, items)
 
 
-def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[str, str]]]:
+def _sweep_table(theorem: str, n_max: int, jobs: int) -> Iterator[Row]:
     target = _TARGETS[theorem]
     workers = 1
     if jobs > 1:
@@ -536,16 +522,11 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[s
 
         pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
         broken = (BrokenProcessPool,)
-    checked = 0
-    violations: list[tuple[str, str]] = []
     try:
         with pool as executor:
-            for g, result in _table_rows(theorem, n_max, executor):
-                if result is None:
-                    continue
-                checked += 1
-                if result[1] is not None and len(violations) < VIOLATION_LIMIT:
-                    violations.append((to_graph6(g), result[1]))
+            for g, (_, details) in _table_rows(theorem, n_max, executor):
+                if details is not None:
+                    yield g, details
     except broken:
         raise RuntimeError(
             f"sweep(jobs={jobs}) lost its worker processes.  Workers are spawned and "
@@ -553,8 +534,7 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> tuple[int, list[tuple[s
             'must do so under `if __name__ == "__main__":`.'
         ) from None
     if target.witnesses is not None:
-        checked += target.witnesses(violations)
-    return checked, violations
+        yield from target.witnesses()
 
 
 def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
@@ -565,23 +545,30 @@ def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
     ``jobs`` > 1 solves each level's classes in a process pool of at most
     ``jobs`` workers, once this process has read their deletions; rows
     are checked in enumeration order, so the report is identical for any
-    count.
+    count.  Each row is one checked graph; its details are kept in row
+    order up to ``VIOLATION_LIMIT`` violations in all.
     """
     start = time.monotonic()
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if theorem == "lemma2":
         check_cap("lemma2 sweep", n_max)
-        checked, violations = _sweep_lemma2(n_max)
+        rows = _sweep_lemma2(n_max)
     elif theorem in _TARGETS:
         cap = CAPS["canonical enumeration"]
         if not 1 <= n_max <= cap:
             raise CapacityError(f"{theorem} sweep capped at n={cap}, got {n_max}")
-        checked, violations = _sweep_table(theorem, n_max, jobs)
+        rows = _sweep_table(theorem, n_max, jobs)
     else:
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREM_IDS}")
+    checked = 0
+    violations: list[tuple[str, str]] = []
+    for g, details in rows:
+        checked += 1
+        room = VIOLATION_LIMIT - len(violations)
+        violations += ((to_graph6(g), detail) for detail in details[:room])
     elapsed = int((time.monotonic() - start) * 1000)
-    return SweepReport(theorem, n_max, checked, violations[:VIOLATION_LIMIT], elapsed)
+    return SweepReport(theorem, n_max, checked, violations, elapsed)
 
 
 # ---------------------------------------------------------------------------

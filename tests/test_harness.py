@@ -28,6 +28,7 @@ from abperfect import (
     enumerate_graphs,
     induced_subgraph,
     is_ab_perfect,
+    is_connected,
     path_graph,
     sweep,
     to_graph6,
@@ -405,6 +406,31 @@ def test_violations_capped_at_100(monkeypatch):
     assert not result.passed
 
 
+def test_one_violation_cap_spans_the_table_and_its_witnesses(monkeypatch):
+    # Three witness rows of two violations each follow the table's 208
+    # classes.  When all of them fail, the table's first 100 fill the cap;
+    # when only its first 99 do, the first witness violation is the 100th.
+    classes = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    witnesses = [path_graph(k) for k in (2, 3, 4)]
+
+    def witness_rows():
+        for g in witnesses:
+            yield g, [f"witness {g.n} a", f"witness {g.n} b"]
+
+    for failing in (208, 99):
+        first = {g.adj for g in classes[:failing]}
+        fake = harness._Target(
+            lambda g, values, flags: "table" if g.adj in first else None,
+            witnesses=witness_rows,
+        )
+        monkeypatch.setitem(harness._TARGETS, "always_fail", fake)
+        result = sweep("always_fail", 6)
+        assert result.checked == 208 + 3
+        expected = [(to_graph6(g), "table") for g in classes[:failing]]
+        expected += [(to_graph6(witnesses[0]), "witness 2 a")]
+        assert result.violations == expected[:100], failing
+
+
 # ---------------------------------------------------------------------------
 # Invariant table
 # ---------------------------------------------------------------------------
@@ -659,30 +685,35 @@ def test_lemma1_filters_to_hypothesis_class():
 def test_lemma1_reports_every_class_of_its_hypothesis_in_full_order(monkeypatch):
     # With no universal vertex anywhere, every class lemma1 checks is a
     # violation, so its report lists the classes it walks: they must be
-    # the full levels filtered by its hypothesis, in their order.
+    # the full levels' connected classes free of P4 and C4 by the oracle's
+    # pattern test, in their order.
     monkeypatch.setattr(harness, "universal_vertices", lambda g: [])
+    patterns = [PATTERNS["P4"].graph, PATTERNS["C4"].graph]
     expected = [
-        to_graph6(g) for n in range(1, 8) for g in enumerate_graphs(n) if harness._lemma1_filter(g)
+        to_graph6(g)
+        for n in range(1, 8)
+        for g in enumerate_graphs(n)
+        if is_connected(g) and all(brute_contains_induced(g, p) is None for p in patterns)
     ]
     report = sweep("lemma1", 7)
     assert report.checked == len(expected) == 85
     assert [g6 for g6, _ in report.violations] == expected
 
 
-def test_restricted_targets_hypotheses_reject_their_patterns():
-    # A target may enumerate only the classes free of its patterns because
-    # its hypothesis rejects every graph holding one: each pattern's own
-    # graph, and every class up to 7 vertices that holds one.
-    restricted = {theorem: t for theorem, t in harness._TARGETS.items() if t.free_of}
-    assert set(restricted) == {"lemma1"}
-    classes = [g for n in range(1, 8) for g in enumerate_graphs(n)]
-    for theorem, target in restricted.items():
-        for name in target.free_of:
-            pattern = PATTERNS[name].graph
-            assert not target.hypothesis(pattern), (theorem, name)
-            for g in classes:
-                if target.hypothesis(g):
-                    assert brute_contains_induced(g, pattern) is None, (theorem, to_graph6(g))
+def test_pair_target_with_a_hypothesis_flags_every_class(monkeypatch):
+    # A class off the hypothesis is not checked, but its flags are still
+    # found: a connected class can have a disconnected deletion.
+    rows = []
+    target = harness._Target(
+        lambda g, values, flags: rows.append((g, flags)),
+        pairs=(("omega", "psi"),),
+        hypothesis=is_connected,
+    )
+    monkeypatch.setitem(harness._TARGETS, "connected_pair", target)
+    for g, (flags, _) in harness._table_rows("connected_pair", 6):
+        assert flags == {("omega", "psi"): is_ab_perfect(g, "omega", "psi").perfect}
+    assert all(is_connected(g) for g, _ in rows) and len(rows) == 143
+    assert sweep("connected_pair", 6).checked == 143
 
 
 def test_sweep_report_formats():
