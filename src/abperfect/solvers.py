@@ -8,7 +8,16 @@ achromatic and pseudoachromatic numbers
                    -- backtracking over canonically-ordered set partitions
                       with an edge bound: uncovered color pairs vs. the
                       edges between unplaced vertices plus, per unplaced
-                      vertex, the colors on its placed neighbors
+                      vertex, the colors on its placed neighbors;
+                      class claims: each unopened color, and each opened
+                      color c missing more partners than the unplaced
+                      vertices next to a c-vertex (each takes one color,
+                      so meets one missing partner), claims its own
+                      unplaced vertex, and the classes are disjoint;
+                      a degree cover per k: each class holds a vertex of
+                      degree >= k-1 or >= 2 vertices whose degrees sum
+                      to >= k-1, since it meets the other k-1 classes
+                      and a vertex meets at most deg(v) of them
 
 ``INVARIANT_SOLVERS`` is the invariant table: it maps each invariant's name
 to its solver in chain order, and ``INVARIANT_CHAIN`` is its keys.  The
@@ -250,13 +259,24 @@ class _Plan(NamedTuple):
     vertex masks of its neighbors placed at earlier and at later steps, and
     ``inner[i]`` counts the edges with both endpoints placed at step i or
     later (``inner[n]`` is 0, ``inner[0]`` is |E|); the last two feed the
-    edge bound of ``_complete_partition``.
+    edge bound of ``_complete_partition``.  ``unplaced[i]`` is the mask of
+    the vertices placed at step i or later (``unplaced[n]`` is 0): the
+    class claims count, per opened color c, the unplaced vertices next to
+    a c-vertex, since each meets at most one of c's missing partners.
+    ``degrees`` holds the vertex degrees in step order, so descending: the
+    degree cover counts the vertices of degree >= k-1 and sums the rest,
+    since each class meets the other k-1 classes and a vertex meets at
+    most deg(v) of them.  Both are built with ``back`` in one loop; the
+    plan is rebuilt for every call of a subset scan, so it holds masks
+    and counts, not per-step neighbor lists.
     """
 
     order: tuple[int, ...]
     back: tuple[int, ...]
     ahead: tuple[int, ...]
     inner: tuple[int, ...]
+    unplaced: tuple[int, ...]
+    degrees: tuple[int, ...]
 
 
 def _plan(g: Graph) -> _Plan:
@@ -264,14 +284,20 @@ def _plan(g: Graph) -> _Plan:
     adj = g.adj
     degree = [row.bit_count() for row in adj]
     order = sorted(range(g.n), key=degree.__getitem__, reverse=True)  # stable
-    back, placed = [], 0
+    back, unplaced, degrees = [], [], []
+    placed, full = 0, (1 << g.n) - 1
     for v in order:
         back.append(adj[v] & placed)
+        unplaced.append(full ^ placed)
+        degrees.append(degree[v])
         placed |= 1 << v
+    unplaced.append(0)
     ahead = [adj[v] ^ mask for v, mask in zip(order, back)]
     inner = list(accumulate([mask.bit_count() for mask in reversed(ahead)], initial=0))
     inner.reverse()
-    return _Plan(tuple(order), tuple(back), tuple(ahead), tuple(inner))
+    return _Plan(
+        tuple(order), tuple(back), tuple(ahead), tuple(inner), tuple(unplaced), tuple(degrees)
+    )
 
 
 def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
@@ -282,9 +308,25 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     smaller ones, which breaks the k! color symmetry.  Returns 0-based
     colors by vertex, the search's one per-vertex state: an entry is written
     when its vertex is placed and read only by neighbors placed later, so
-    backtracking leaves it.  None at once when k > n or k(k-1)/2 > |E|.
-    Prunes on: properness, classes that can no longer all open, and the
-    edge bound below.
+    backtracking leaves it.  None at once when k > n, k(k-1)/2 > |E| or
+    the degree cover below fails.  Prunes on: properness, the class claims
+    and the edge bound below.  Each prune, and each refusal, cuts only
+    subtrees holding no complete k-coloring, proper or not, so the first
+    one found does not depend on them.
+
+    Degree cover.  A class meets the other k-1 classes, and a vertex meets
+    at most deg(v) of them.  So each class holds a vertex of degree >= k-1,
+    or >= 2 vertices whose degrees sum to >= k-1.  With h the number of
+    vertices of degree >= k-1 and L the sum of the other degrees, k is
+    refused when k > h + min((n-h)//2, L//(k-1)).
+
+    Class claims, at each node where fewer vertices are unplaced than k.
+    Each unopened color needs at least one unplaced vertex.  An opened
+    color c may still miss k-1-|seen[c]| partners.  If that is more than
+    ``reach[c] & unplaced`` (the unplaced vertices next to a c-vertex), c
+    also needs an unplaced vertex: each such neighbor takes one color, so
+    it meets at most one missing partner.  Classes are disjoint, so a node
+    is cut when the claims outnumber the unplaced vertices.
 
     Edge bound.  Once steps 0..i are placed, each uncovered color pair
     needs an edge of its own with an unplaced endpoint.  An edge between
@@ -295,21 +337,34 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     the uncovered pairs exceed ``cross + inner[i + 1]``, ``cross`` being
     the sum of |C(u)| over unplaced u.  ``reach[c]`` is the vertex mask
     with a placed neighbor of color c, so placing a vertex at color c adds
-    its later neighbors outside ``reach[c]`` to ``cross``.  The bound cuts
-    only subtrees holding no complete k-coloring, so the first one found
-    does not depend on it.
+    its later neighbors outside ``reach[c]`` to ``cross``.
     """
-    order, back, ahead, inner = plan
+    order, back, ahead, inner, unplaced, degrees = plan
     n = len(order)
     if k > n or k * (k - 1) // 2 > inner[0]:
         return None
+    if degrees[k - 1] < k - 1:  # fewer than k vertices of degree >= k-1; never at k = 1
+        low = [d for d in degrees if d < k - 1]
+        if k > n - len(low) + min(len(low) // 2, sum(low) // (k - 1)):
+            return None
     color = [0] * n
     seen = [0] * k  # seen[c]: colors already joined to c by an edge
     reach = [0] * k
 
     def place(i: int, used: int, uncovered: int, cross: int) -> bool:
-        if k - used > n - i:
-            return False
+        # Class claims: spare is the unplaced vertices less the claims, and
+        # the claims are at most k, so they can cut only when n - i < k.
+        spare = n - i - k
+        if spare < 0:
+            spare += used  # each unopened color claims one vertex
+            if spare < 0:
+                return False
+            free = unplaced[i]
+            for c in range(used):
+                if k - 1 - seen[c].bit_count() > (reach[c] & free).bit_count():
+                    spare -= 1
+                    if spare < 0:
+                        return False
         if i == n:
             return True  # every class open, and uncovered <= cross + inner[n] = 0
         nbrs = back[i]
@@ -351,8 +406,9 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
 
 def _largest_complete(g: Graph, proper: bool, witness: bool) -> int | tuple[int, Coloring]:
     """Most colors in a complete coloring, proper or not, by descending k from
-    n; ``_complete_partition`` turns down each k with k(k-1)/2 > |E| on entry.
-    Witness colors are renumbered by first occurrence."""
+    n; ``_complete_partition`` turns down each k with k(k-1)/2 > |E|, or
+    failing the degree cover, on entry.  Witness colors are renumbered by
+    first occurrence."""
     m = g.edge_count()
     if m < 3 and not witness:
         # Distinct color pairs need distinct edges, so k(k-1)/2 <= |E| < 3

@@ -138,6 +138,16 @@ def test_complete_solvers_match_oracles_at_6():
         assert pseudoachromatic_number(g) == max(complete), to_graph6(g)
 
 
+def test_complete_counts_match_oracle_to_6():
+    # Every feasible class count in both complete modes on every class up
+    # to n=6: the class claims and the degree cover act at every k, and the
+    # interpolation sweeps read each count, not only the largest one.
+    for g in small_classes(6):
+        for mode, counts in zip(("complete", "proper_complete"), brute_complete_counts(g)):
+            test = _colorable(g, mode)
+            assert {k for k in range(1, g.n + 1) if test(k)} == counts, (to_graph6(g), mode)
+
+
 def test_complete_counts_match_oracle_at_8_and_9():
     # Every feasible class count in both complete modes, against set
     # partitions that no search prune touches, beyond the n <= 7 pins.
@@ -187,6 +197,20 @@ def test_alpha_psi_witnesses_are_frozen():
         p, pw = pseudoachromatic_number(g, witness=True)
         digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
     assert digest.hexdigest() == "ed36468af3aa6334aa4185338020b4a2c6ef663ac75ec91e1844a766bbd6d4f3"
+
+
+def test_alpha_psi_witnesses_are_frozen_on_9_to_12_vertices():
+    # SHA-256 of "alpha witness psi witness" per G(n, p) graph on 9-12
+    # vertices, where the class claims cut most; the value was recorded
+    # before the search gained the class claims and the degree cover.
+    digest = hashlib.sha256()
+    cells = [(n, q) for n in (9, 10, 11, 12) for q in (0.2, 0.35, 0.5, 0.7)] * 3
+    for seed, (n, q) in enumerate(cells):
+        g = seeded_gnp(seed, n, q)
+        a, aw = achromatic_number(g, witness=True)
+        p, pw = pseudoachromatic_number(g, witness=True)
+        digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
+    assert digest.hexdigest() == "2ecbea32e343760c6727e3dddd6b8c42e2429b0f139480e75b596dfe3a009b65"
 
 
 def test_grundy_values_witnesses_and_counts_are_frozen():
