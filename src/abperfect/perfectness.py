@@ -10,8 +10,16 @@ adjacency rows are built in O(k) from those of its prefix, one size
 smaller and already scanned, and only two sizes of rows are kept, at most
 C(10, 5) = 252 tuples each.  Many subsets induce the same relabelled
 subgraph, so each call memoizes (a(H), b(H)) on H's adjacency rows and
-solves every distinct labelled subgraph once; the memo holds at most
-2^n - 1 entries and is dropped when the call returns.
+solves every distinct labelled subgraph at most once; the memo holds at
+most 2^n - 1 entries and is dropped when the call returns.
+
+Most subsets need no solve at all.  Each of the five invariants obeys the
+deletion sandwich a(H - v) <= a(H) <= a(H - v) + 1, proved from the
+definitions alone in ROADMAP item 3; it is none of the theorems that the
+sweeps verify.  When the scan reaches a subset S, every deletion S - u has
+passed with a = b = x_u, so a(S) and b(S) both lie in [max x_u,
+min x_u + 1]: when the deletions' values differ, that interval is one
+value and a(S) = b(S) = max x_u with no solve.
 
 The recognizer decides the structural characterization of the
 omega-psi-perfect graphs: a connected one is a complete graph or the
@@ -73,11 +81,20 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     relabelled to 0..k-1 as ``induced_subgraph`` does, are the prefix's
     rows, each with bit k-1 set when its vertex is adjacent to u, followed
     by u's row of those bits.  Only the previous size's rows are kept, at
-    most C(10, 5) = 252 tuples under the cap.  The solvers are functions
-    of the adjacency rows alone, so (a(H), b(H)) is memoized per call on
-    ``H.adj``, which also fixes H's order: each distinct labelled subgraph
-    is solved once, and the memo never holds more than the 2^10 - 1
-    subsets of the cap.
+    most C(10, 5) = 252 tuples under the cap, each beside its subset's
+    vertex bitmask.  The solvers are functions of the adjacency rows
+    alone, so (a(H), b(H)) is memoized per call on ``H.adj``, which also
+    fixes H's order: each distinct labelled subgraph is solved at most
+    once, and the memo never holds more than the 2^10 - 1 subsets of the
+    cap.
+
+    On a memo miss the deletions decide first.  Every subset one size
+    smaller has passed, and its common value is kept by bitmask, so each
+    deletion S - u gives x_u = a(S - u) = b(S - u).  The deletion sandwich
+    (ROADMAP item 3) puts a(S) and b(S) in [max x_u, min x_u + 1]; when
+    the x_u differ, both equal max x_u, which the memo records with no
+    solve.  A forced subset never disagrees, so the counterexample, always
+    a solved subset, and its values are those of the full scan.
     """
     if a not in INVARIANT_CHAIN or b not in INVARIANT_CHAIN:
         raise ValueError(f"invariants must be among {INVARIANT_CHAIN}")
@@ -89,31 +106,44 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     solve_a = INVARIANT_SOLVERS[a]
     solve_b = INVARIANT_SOLVERS[b]
     solved: dict[tuple[int, ...], tuple[int, int]] = {}
-    prefix_rows: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+    prefix_rows: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {(): (0, ())}
+    prefix_values = {0: 0}
     for size in range(1, g.n + 1):
         top = 1 << (size - 1)
         subset_rows = {}
+        subset_values = {}
         for subset in combinations(range(g.n), size):
-            last = g.adj[subset[-1]]
+            u = subset[-1]
+            last = g.adj[u]
+            prefix_mask, prefix = prefix_rows[subset[:-1]]
+            mask = prefix_mask | 1 << u
             own = 0
             rows = []
-            for i, (v, row) in enumerate(zip(subset, prefix_rows[subset[:-1]])):
+            for i, (v, row) in enumerate(zip(subset, prefix)):
                 if last >> v & 1:
                     row |= top
                     own |= 1 << i
                 rows.append(row)
             rows.append(own)
-            adj = subset_rows[subset] = tuple(rows)
+            adj = tuple(rows)
+            subset_rows[subset] = mask, adj
             values = solved.get(adj)
             if values is None:
-                h = _trusted(size, adj)
-                values = solved[adj] = solve_a(h), solve_b(h)
+                deletions = {prefix_values[mask ^ 1 << v] for v in subset}
+                if len(deletions) > 1:
+                    hi = max(deletions)
+                    values = solved[adj] = hi, hi
+                else:
+                    h = _trusted(size, adj)
+                    values = solved[adj] = solve_a(h), solve_b(h)
             a_val, b_val = values
             if a_val != b_val:
                 return PerfectnessVerdict(
                     (a, b), False, (frozenset(subset), a_val, b_val)
                 )
+            subset_values[mask] = a_val
         prefix_rows = subset_rows
+        prefix_values = subset_values
     return PerfectnessVerdict((a, b), True, None)
 
 

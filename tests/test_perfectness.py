@@ -9,6 +9,7 @@ from abperfect import (
     CapacityError,
     INVARIANT_CHAIN,
     StructureTree,
+    canonical_form,
     complete_graph,
     cycle_graph,
     decompose_trivially_perfect,
@@ -159,14 +160,24 @@ def test_scan_memo_matches_reference_scan():
 def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
     # K2 joined over K3 + K3 + 2 isolated vertices is omega-psi-perfect, so
     # the scan visits all 1,023 subsets; they induce 86 distinct labelled
-    # subgraphs, and each solver runs once on each of them.
+    # subgraphs.  A subset whose deletions' values differ is forced by the
+    # deletion sandwich, so each solver runs once on each labelled subgraph
+    # of an unforced subset, 14 of the 86, and on no other.
     g = join(
         complete_graph(2),
         disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(2)),
     )
+    assert to_graph6(g) == "I~~EMN?o?"
     subsets = [s for size in range(1, g.n + 1) for s in combinations(range(g.n), size)]
-    distinct = sorted({induced_subgraph(g, s).adj for s in subsets})
+    distinct = {induced_subgraph(g, s).adj for s in subsets}
     assert len(subsets) == 1023 and len(distinct) == 86
+    value = {(): 0} | {s: INVARIANT_SOLVERS["omega"](induced_subgraph(g, s)) for s in subsets}
+    unforced = {
+        induced_subgraph(g, s).adj
+        for s in subsets
+        if len({value[tuple(w for w in s if w != v)] for v in s}) == 1
+    }
+    assert len(unforced) == 14
     solved: dict = {}
     for name in ("omega", "psi"):
 
@@ -176,7 +187,9 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
 
         monkeypatch.setitem(INVARIANT_SOLVERS, name, counted)
     assert is_ab_perfect(g, "omega", "psi").perfect
-    assert sorted(solved["omega"]) == sorted(solved["psi"]) == distinct
+    for name in ("omega", "psi"):
+        assert len(solved[name]) == len(set(solved[name])), name
+        assert set(solved[name]) == unforced, name
 
 
 def test_scan_rows_match_induced_subgraph(monkeypatch):
@@ -204,6 +217,59 @@ def test_scan_rows_match_induced_subgraph(monkeypatch):
         for name in ("omega", "psi"):
             got = sorted((n, adj) for solver, n, adj in solved if solver == name)
             assert got == sorted(expected), (seed, name)
+
+
+# The four pairs of the bench's check corpus.
+CHECK_PAIRS = (("omega", "psi"), ("chi", "psi"), ("omega", "alpha"), ("omega", "gamma"))
+
+
+def test_scan_matches_reference_scan_on_late_failures():
+    # A perfect shape with one edge toggled fails, when it fails, at a subset
+    # of 4-6 vertices, so the scan solves a subset after forcing others.
+    shapes = (seeded_shape(0, 9), seeded_shape(1, 9))
+    cases = 0
+    for g in shapes:
+        for u, v in combinations(range(g.n), 2):
+            h = from_edge_list(g.n, set(g.edges()) ^ {(u, v)})
+            for a, b in CHECK_PAIRS:
+                assert is_ab_perfect(h, a, b) == reference_scan(h, a, b), (to_graph6(h), a, b)
+                cases += 1
+    assert cases == 288
+
+
+def _sandwich_violations(n_max):
+    """Deletions on 1..n_max vertices where some invariant leaves
+    a(G - v) <= a(G) <= a(G - v) + 1; each deletion's values are looked up
+    by canonical form one level down."""
+    violations = []
+    below: dict[bytes, tuple[int, ...]] = {}
+    for n in range(1, n_max + 1):
+        here = {}
+        labels: dict[tuple[int, ...], bytes] = {}
+        for g in enumerate_graphs(n):
+            values = tuple(solve(g) for solve in INVARIANT_SOLVERS.values())
+            here[canonical_form(g)] = values
+            if n == 1:
+                continue  # K1 - v is the empty graph, 0 for every invariant
+            for v in range(n):
+                h = induced_subgraph(g, [w for w in range(n) if w != v])
+                if h.adj not in labels:
+                    labels[h.adj] = canonical_form(h)
+                for name, x, y in zip(INVARIANT_SOLVERS, below[labels[h.adj]], values):
+                    if not x <= y <= x + 1:
+                        violations.append((to_graph6(g), v, name, x, y))
+        below = here
+    return violations
+
+
+def test_deletion_sandwich_on_every_class_to_7():
+    # The scan skips the solves this lemma forces (ROADMAP item 3).
+    assert _sandwich_violations(7) == []
+
+
+@pytest.mark.slow
+def test_deletion_sandwich_on_every_class_at_8():
+    assert _sandwich_violations(8) == []
 
 
 # ---------------------------------------------------------------------------
