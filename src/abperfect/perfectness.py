@@ -5,13 +5,17 @@ omega, chi, gamma, alpha, psi) when a(H) = b(H) on every induced
 subgraph H; the checker solves a and b with the solvers of the invariant
 table ``solvers.INVARIANT_SOLVERS``.  It scans subsets in increasing size
 then lexicographic order, so the first violation it reports is minimal:
-every strictly smaller subset has already passed.  Each subset's relabelled
-adjacency rows are built in O(k) from those of its prefix, one size
-smaller and already scanned, and only two sizes of rows are kept, at most
-C(10, 5) = 252 tuples each.  Many subsets induce the same relabelled
-subgraph, so each call memoizes (a(H), b(H)) on H's adjacency rows and
-solves every distinct labelled subgraph at most once; the memo holds at
-most 2^n - 1 entries and is dropped when the call returns.
+every strictly smaller subset has already passed.  Each size is a level
+list of vertex bitmasks in that order, at most C(10, 5) = 252, and
+three lists of 2^n ints indexed by vertex bitmask (1,024 each at the cap
+of 10, 24 KiB of list slots) keep each scanned subset's common value, its
+last vertex's relabelled row and its relabelled upper triangle as one int.
+A subset's triangle code is read off those of its deletions one size
+down, so a subset whose code the memo already holds costs O(1).  Many
+subsets induce the same relabelled subgraph, so each size keeps a memo
+from that code to the common value a(H) = b(H), at most 252 entries,
+dropped when the next size starts: every distinct labelled subgraph is
+solved at most once.  A full scan at the cap peaks at about 65 KiB.
 
 Most subsets need no solve at all.  Each of the five invariants obeys the
 deletion sandwich a(H - v) <= a(H) <= a(H - v) + 1, proved from the
@@ -31,12 +35,11 @@ or a single non-trivial part of the same recursive shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable
 
 from .graphs import (
     Graph,
-    _trusted,
+    bits,
     check_cap,
     complete_graph,
     connected_components,
@@ -76,21 +79,25 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     """Check a(H) = b(H) on every induced subgraph of g.
 
     Subsets are scanned by size then lexicographically; the first
-    violating subset is returned, and minimality is automatic.  A subset
-    S of size k is its prefix S[:-1] plus its last vertex u, so S's rows,
-    relabelled to 0..k-1 as ``induced_subgraph`` does, are the prefix's
-    rows, each with bit k-1 set when its vertex is adjacent to u, followed
-    by u's row of those bits.  Only the previous size's rows are kept, at
-    most C(10, 5) = 252 tuples under the cap, each beside its subset's
-    vertex bitmask.  The solvers are functions of the adjacency rows
-    alone, so (a(H), b(H)) is memoized per call on ``H.adj``, which also
-    fixes H's order: each distinct labelled subgraph is solved at most
-    once, and the memo never holds more than the 2^10 - 1 subsets of the
-    cap.
+    violating subset is returned, and minimality is automatic.  Each size
+    is a level list of vertex bitmasks in lex order, at most
+    C(10, 5) = 252 of them: extending each mask by every u above its last
+    vertex, its top bit, gives the next size in the order of
+    ``combinations``.  Three lists of 2^n ints, indexed by vertex bitmask,
+    hold what a subset S passes on: ``value[S]``, its common value a = b;
+    ``own[S]``, its last vertex's row relabelled to S's order, as
+    ``induced_subgraph`` relabels; and ``code[S]``, its relabelled upper
+    triangle, row j's j low bits at offset j(j-1)/2.  For S = P + u of
+    size k, with P = P' + p, u's row is ``own[P' + u]``, stored one size
+    down for the deletion S - p, with bit k-2 set when u is adjacent to p;
+    ``code[S]`` is ``code[P]`` with that row at offset (k-1)(k-2)/2.  The
+    code determines the labelled subgraph, and the solvers are functions of
+    the adjacency alone, so each size memoizes a = b on it: each distinct
+    labelled subgraph is solved at most once, and a memo hit costs O(1).
 
     On a memo miss the deletions decide first.  Every subset one size
-    smaller has passed, and its common value is kept by bitmask, so each
-    deletion S - u gives x_u = a(S - u) = b(S - u).  The deletion sandwich
+    smaller has passed, so each deletion S - u gives
+    x_u = a(S - u) = b(S - u) = ``value[S - u]``.  The deletion sandwich
     (ROADMAP item 3) puts a(S) and b(S) in [max x_u, min x_u + 1]; when
     the x_u differ, both equal max x_u, which the memo records with no
     solve.  A forced subset never disagrees, so the counterexample, always
@@ -105,45 +112,48 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
         return PerfectnessVerdict((a, b), True, None)
     solve_a = INVARIANT_SOLVERS[a]
     solve_b = INVARIANT_SOLVERS[b]
-    solved: dict[tuple[int, ...], tuple[int, int]] = {}
-    prefix_rows: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {(): (0, ())}
-    prefix_values = {0: 0}
-    for size in range(1, g.n + 1):
-        top = 1 << (size - 1)
-        subset_rows = {}
-        subset_values = {}
-        for subset in combinations(range(g.n), size):
-            u = subset[-1]
-            last = g.adj[u]
-            prefix_mask, prefix = prefix_rows[subset[:-1]]
-            mask = prefix_mask | 1 << u
-            own = 0
-            rows = []
-            for i, (v, row) in enumerate(zip(subset, prefix)):
-                if last >> v & 1:
-                    row |= top
-                    own |= 1 << i
-                rows.append(row)
-            rows.append(own)
-            adj = tuple(rows)
-            subset_rows[subset] = mask, adj
-            values = solved.get(adj)
-            if values is None:
-                deletions = {prefix_values[mask ^ 1 << v] for v in subset}
-                if len(deletions) > 1:
-                    hi = max(deletions)
-                    values = solved[adj] = hi, hi
-                else:
-                    h = _trusted(size, adj)
-                    values = solved[adj] = solve_a(h), solve_b(h)
-            a_val, b_val = values
-            if a_val != b_val:
-                return PerfectnessVerdict(
-                    (a, b), False, (frozenset(subset), a_val, b_val)
-                )
-            subset_values[mask] = a_val
-        prefix_rows = subset_rows
-        prefix_values = subset_values
+    n, adj = g.n, g.adj
+    value = [0] * (1 << n)
+    own = [0] * (1 << n)
+    code = [0] * (1 << n)
+    level = [0]
+    for size in range(1, n + 1):
+        top = 1 << size >> 2  # 1 << (size - 2): the prefix's last vertex in u's row
+        offset = (size - 1) * (size - 2) // 2
+        solved: dict[int, int] = {}
+        next_level = []
+        for prefix in level:
+            last = prefix.bit_length() - 1
+            if last < 0:  # the empty prefix, whose singletons have empty rows
+                rest = link = 0
+            else:
+                rest = prefix ^ 1 << last  # rest | 1 << u is the deletion S - last
+                link = adj[last] * top  # link >> u & top: u adjacent to last, at top
+            base = code[prefix]
+            for u in range(last + 1, n):
+                bit = 1 << u
+                mask = prefix | bit
+                row = own[rest | bit] | link >> u & top
+                key = base | row << offset
+                x = solved.get(key)
+                if x is None:
+                    members = list(bits(mask))
+                    deletions = [value[mask ^ 1 << v] for v in members]
+                    x = max(deletions)
+                    if x == min(deletions):
+                        h = induced_subgraph(g, members)
+                        a_val, b_val = solve_a(h), solve_b(h)
+                        if a_val != b_val:
+                            return PerfectnessVerdict(
+                                (a, b), False, (frozenset(members), a_val, b_val)
+                            )
+                        x = a_val
+                    solved[key] = x
+                value[mask] = x
+                own[mask] = row
+                code[mask] = key
+                next_level.append(mask)
+        level = next_level
     return PerfectnessVerdict((a, b), True, None)
 
 

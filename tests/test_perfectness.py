@@ -23,6 +23,7 @@ from abperfect import (
     is_connected,
     is_isomorphic,
     join,
+    parse_graph6,
     path_graph,
     rebuild,
     recognize_structure,
@@ -162,7 +163,9 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
     # the scan visits all 1,023 subsets; they induce 86 distinct labelled
     # subgraphs.  A subset whose deletions' values differ is forced by the
     # deletion sandwich, so each solver runs once on each labelled subgraph
-    # of an unforced subset, 14 of the 86, and on no other.
+    # of an unforced subset, 14 of the 86, and on no other.  The memo is
+    # keyed per size by the relabelled upper triangle as one int, so that
+    # code must be injective on each size's labelled subgraphs.
     g = join(
         complete_graph(2),
         disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(2)),
@@ -194,9 +197,10 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
 
 def test_scan_rows_match_induced_subgraph(monkeypatch):
     # With omega and psi stubbed to agree, every scan is perfect and visits
-    # every subset, so each graph the scan builds from its prefix's rows
-    # reaches a solver: together they must be exactly the induced subgraphs,
-    # each solved once per solver.
+    # every subset, so each distinct triangle code, built from the rows of
+    # the subset's deletions one size down, reaches a solver once: the
+    # graphs solved must be exactly the induced subgraphs, each solved once
+    # per solver.
     solved = []
     for name in ("omega", "psi"):
 
@@ -217,6 +221,43 @@ def test_scan_rows_match_induced_subgraph(monkeypatch):
         for name in ("omega", "psi"):
             got = sorted((n, adj) for solver, n, adj in solved if solver == name)
             assert got == sorted(expected), (seed, name)
+
+
+def test_scan_edge_cases_match_reference_scan():
+    # K1 and K2 start the scan from the empty prefix and build the first
+    # one-bit row; K10 and the empty graph on 10 vertices are full scans at
+    # the cap; the two P4s (on 6-9, and on 0-9-5-8 with labels out of order)
+    # use vertex 9, so a wrong relabelling of the last vertex shows.
+    graphs = [complete_graph(1), complete_graph(2), complete_graph(10), empty_graph(10)]
+    graphs += [parse_graph6("I????C@?G"), parse_graph6("I?????C`?")]
+    for g in graphs:
+        for a, b in PAIRS:
+            assert is_ab_perfect(g, a, b) == reference_scan(g, a, b), (to_graph6(g), a, b)
+
+
+def test_scan_reports_the_first_subset_in_size_then_lex_order(monkeypatch):
+    # omega is 1 everywhere and psi is 2 only on P3 labelled with its middle
+    # vertex as 1, so no deletion forces a value and the first disagreement
+    # is the first subset, in combinations order by size, inducing that
+    # labelled P3: the scan's order and its memo key must both be right.
+    p3 = (0b010, 0b101, 0b010)
+    monkeypatch.setitem(INVARIANT_SOLVERS, "omega", lambda h: 1)
+    monkeypatch.setitem(INVARIANT_SOLVERS, "psi", lambda h: 2 if h.adj == p3 else 1)
+    # Each graph but the last has other labellings of P3 before that one;
+    # the last has none, so its scan is perfect.
+    for seed, p in ((3, 0.15), (6, 0.15), (7, 0.3), (5, 0.5), (6, 0.5), (4, 0.15)):
+        g = seeded_gnp(seed, 10, p)
+        first = next(
+            (
+                s
+                for size in range(1, g.n + 1)
+                for s in combinations(range(g.n), size)
+                if induced_subgraph(g, s).adj == p3
+            ),
+            None,
+        )
+        expected = None if first is None else (frozenset(first), 1, 2)
+        assert is_ab_perfect(g, "omega", "psi").counterexample == expected, (seed, p)
 
 
 # The four pairs of the bench's check corpus.
