@@ -174,8 +174,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         raise ValueError(f"vertices {members} not within 0..{g.n - 1}")
     rows = []
     for v in members:
-        row = g.adj[v]
-        rows.append(sum(1 << i for i, u in enumerate(members) if row >> u & 1))
+        row, sub = g.adj[v], 0
+        for i, u in enumerate(members):
+            if row >> u & 1:
+                sub |= 1 << i
+        rows.append(sub)
     return _trusted(len(members), tuple(rows))
 
 

@@ -9,6 +9,8 @@ achromatic and pseudoachromatic numbers
                       with an edge bound: uncovered color pairs vs. the
                       edges between unplaced vertices plus, per unplaced
                       vertex, the colors on its placed neighbors;
+                      unopened colors: r colors no placed vertex has
+                      need r(r-1)/2 edges between unplaced vertices;
                       class claims: each unopened color, and each opened
                       color c missing more partners than the unplaced
                       vertices next to a c-vertex (each takes one color,
@@ -259,7 +261,8 @@ class _Plan(NamedTuple):
     vertex masks of its neighbors placed at earlier and at later steps, and
     ``inner[i]`` counts the edges with both endpoints placed at step i or
     later (``inner[n]`` is 0, ``inner[0]`` is |E|); the last two feed the
-    edge bound of ``_complete_partition``.  ``unplaced[i]`` is the mask of
+    edge bound of ``_complete_partition``, and ``inner`` its unopened-color
+    cut too.  ``unplaced[i]`` is the mask of
     the vertices placed at step i or later (``unplaced[n]`` is 0): the
     class claims count, per opened color c, the unplaced vertices next to
     a c-vertex, since each meets at most one of c's missing partners.
@@ -309,8 +312,8 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     colors by vertex, the search's one per-vertex state: an entry is written
     when its vertex is placed and read only by neighbors placed later, so
     backtracking leaves it.  None at once when k > n, k(k-1)/2 > |E| or
-    the degree cover below fails.  Prunes on: properness, the class claims
-    and the edge bound below.  Each prune, and each refusal, cuts only
+    the degree cover below fails.  Prunes on: properness, the class claims,
+    the edge bound and the unopened colors below.  Each prune, and each refusal, cuts only
     subtrees holding no complete k-coloring, proper or not, so the first
     one found does not depend on them.
 
@@ -338,6 +341,12 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     the sum of |C(u)| over unplaced u.  ``reach[c]`` is the vertex mask
     with a placed neighbor of color c, so placing a vertex at color c adds
     its later neighbors outside ``reach[c]`` to ``cross``.
+
+    Unopened colors.  Once order[i] takes color c, r = k - used colors are
+    still unopened, ``used`` counting c.  No placed vertex has one, so each
+    pair of them needs an edge with both endpoints unplaced, and an edge
+    joins one pair.  The child is cut when r(r-1)/2 > ``inner[i + 1]``.
+    The edge bound cannot see this: ``cross`` may pay for these pairs.
     """
     order, back, ahead, inner, unplaced, degrees = plan
     n = len(order)
@@ -385,6 +394,9 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
             fresh = later & ~reach[c]
             gain = fresh.bit_count()
             if left > slack + gain:
+                continue
+            r = k - used - (c == used)  # colors still unopened; their pairs need inner edges
+            if r * (r - 1) > 2 * inner[i + 1]:
                 continue
             color[v] = c
             reach[c] |= fresh

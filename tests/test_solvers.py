@@ -16,6 +16,7 @@ from abperfect import (
     chromatic_number,
     complement,
     clique_number,
+    complete_bipartite,
     complete_graph,
     cycle_alpha_psi,
     cycle_graph,
@@ -160,6 +161,22 @@ def test_complete_counts_match_oracle_at_8_and_9():
             assert found == counts, (seed, to_graph6(g), mode)
 
 
+def test_complete_counts_match_oracle_on_complete_bipartite():
+    # K_{a,b} has few edges for its vertices and no edge inside a part, so
+    # the unopened-color cut binds: r unopened colors need r(r-1)/2 edges
+    # among the unplaced vertices.  Every feasible count in both modes
+    # against set partitions, then two profiles read before the cut.
+    for a in range(1, 5):
+        for b in range(a, 10 - a):
+            g = complete_bipartite(a, b)
+            for mode, counts in zip(("complete", "proper_complete"), brute_complete_counts(g)):
+                test = _colorable(g, mode)
+                assert {k for k in range(1, a + b + 1) if test(k)} == counts, (a, b, mode)
+    for (a, b), psi in (((4, 8), 5), ((6, 6), 7)):
+        g = complete_bipartite(a, b)
+        assert (achromatic_number(g), pseudoachromatic_number(g)) == (2, psi), (a, b)
+
+
 def test_grundy_counts_match_oracle_at_6():
     # Every feasible count, not only the largest one.
     for g in small_classes(6):
@@ -211,6 +228,19 @@ def test_alpha_psi_witnesses_are_frozen_on_9_to_12_vertices():
         p, pw = pseudoachromatic_number(g, witness=True)
         digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
     assert digest.hexdigest() == "2ecbea32e343760c6727e3dddd6b8c42e2429b0f139480e75b596dfe3a009b65"
+
+
+@pytest.mark.slow
+def test_alpha_psi_witnesses_are_frozen_at_8():
+    # SHA-256 of "alpha witness psi witness" per class over the 12,346
+    # classes of enumerate_graphs(8), in enumeration order; the value was
+    # recorded before the search gained the unopened-color cut.
+    digest = hashlib.sha256()
+    for g in enumerate_graphs(8):
+        a, aw = achromatic_number(g, witness=True)
+        p, pw = pseudoachromatic_number(g, witness=True)
+        digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
+    assert digest.hexdigest() == "568b7d560d6870a9a04647b4395329ad992039bd3b7d0786c93f14be37019d32"
 
 
 def test_grundy_values_witnesses_and_counts_are_frozen():
