@@ -262,10 +262,10 @@ class _Plan(NamedTuple):
     ``inner[i]`` counts the edges with both endpoints placed at step i or
     later (``inner[n]`` is 0, ``inner[0]`` is |E|); the last two feed the
     edge bound of ``_complete_partition``, and ``inner`` its unopened-color
-    cut too.  ``unplaced[i]`` is the mask of
-    the vertices placed at step i or later (``unplaced[n]`` is 0): the
-    class claims count, per opened color c, the unplaced vertices next to
-    a c-vertex, since each meets at most one of c's missing partners.
+    cut too.  ``unplaced[i]`` is the mask of the vertices placed at step i
+    or later (``unplaced[n]`` is 0): the class claims count, per opened
+    color c, the unplaced vertices next to a c-vertex, since each meets at
+    most one of c's missing partners.
     ``degrees`` holds the vertex degrees in step order, so descending: the
     degree cover counts the vertices of degree >= k-1 and sums the rest,
     since each class meets the other k-1 classes and a vertex meets at
@@ -313,9 +313,9 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     when its vertex is placed and read only by neighbors placed later, so
     backtracking leaves it.  None at once when k > n, k(k-1)/2 > |E| or
     the degree cover below fails.  Prunes on: properness, the class claims,
-    the edge bound and the unopened colors below.  Each prune, and each refusal, cuts only
-    subtrees holding no complete k-coloring, proper or not, so the first
-    one found does not depend on them.
+    the edge bound and the unopened colors below.  Each prune, and each
+    refusal, cuts only subtrees holding no complete k-coloring, proper or
+    not, so the first one found does not depend on them.
 
     Degree cover.  A class meets the other k-1 classes, and a vertex meets
     at most deg(v) of them.  So each class holds a vertex of degree >= k-1,
