@@ -268,8 +268,8 @@ for _v in range(CAPS["is_isomorphic"]):
 del _v
 
 
-def _refine(g: Graph) -> list[int]:
-    """Colour refinement: the cell number of each vertex in a stable partition.
+def _refine(g: Graph) -> tuple[list[int], int]:
+    """Colour refinement: each vertex's cell in a stable partition, and an invariant.
 
     Cells start as degree classes and split by how many neighbours a
     vertex has in each cell, until no cell splits or every cell is a
@@ -277,6 +277,12 @@ def _refine(g: Graph) -> list[int]:
     giving cell c the weight 2**(width*c).  Cell numbers are ranks of
     sorted isomorphism-invariant signatures, so an isomorphism maps each
     cell onto the cell of the same number.
+
+    The invariant is the hash of the sorted final signatures: isomorphic
+    graphs share it, and two graphs sharing it number their cells alike
+    unless the hash collided.  Either way a cell-preserving mapping search
+    (``_mapping_exists``) decides isomorphism exactly, since every
+    isomorphism preserves the cells.
     """
     n = g.n
     width = n.bit_length()
@@ -287,13 +293,14 @@ def _refine(g: Graph) -> list[int]:
     while True:
         distinct = sorted(set(signatures))
         if len(distinct) == cells:
-            return cell
+            break
         cell = list(map({s: i for i, s in enumerate(distinct)}.__getitem__, signatures))
         if len(distinct) == n:
-            return cell
+            break
         cells = len(distinct)
         weight_of = [1 << width * c for c in cell].__getitem__
         signatures = [c << top | sum(map(weight_of, nb)) for c, nb in zip(cell, neighbours)]
+    return cell, hash(tuple(sorted(signatures)))
 
 
 def _canonical_search(g: Graph, collect: bool) -> tuple[int, list[tuple[int, ...]]]:
@@ -311,7 +318,7 @@ def _canonical_search(g: Graph, collect: bool) -> tuple[int, list[tuple[int, ...
     consecutive twins are collected, and together they generate Aut(g).
     """
     n, adj = g.n, g.adj
-    cell = _refine(g)
+    cell, _ = _refine(g)
     order = sorted(range(n), key=cell.__getitem__)
     neighbours = [_MEMBERS[row] for row in adj]
     found: dict[tuple[int, ...], None] = {}
@@ -436,11 +443,11 @@ def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: dict[int, i
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test via invariant screening plus backtracking."""
+    """Exact isomorphism test: the refinement invariant, then a cell-preserving search."""
     check_cap("is_isomorphic", max(g1.n, g2.n))
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return False
-    ranks1, ranks2 = _refine(g1), _refine(g2)
-    if sorted(ranks1) != sorted(ranks2):
+    (cells1, key1), (cells2, key2) = _refine(g1), _refine(g2)
+    if key1 != key2:
         return False
-    return _mapping_exists(g1, g2, ranks1, dict(enumerate(ranks2)))
+    return _mapping_exists(g1, g2, cells1, dict(enumerate(cells2)))

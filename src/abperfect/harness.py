@@ -1,15 +1,18 @@
 """Small-graph enumeration and theorem sweep drivers.
 
 Canonical enumeration extends each (n-1)-vertex representative by one
-new vertex with every possible neighborhood and dedups by canonical
-form.  Every isomorphism class on n vertices arises this way: delete any
-vertex of a member, map the rest onto its class representative, and the
-deleted vertex's neighborhood gives the extension mask.  Each class is
-represented by its first child.  Two rules skip children that are never
-first without labelling them: a neighborhood that an automorphism of the
-parent maps to an earlier one, and a child with a deletion whose degree
-multiset only parents before its own have, so that an earlier parent
-already produced its class.
+new vertex with every possible neighborhood and keeps each child that is
+isomorphic to no earlier one.  Every isomorphism class on n vertices
+arises this way: delete any vertex of a member, map the rest onto its
+class representative, and the deleted vertex's neighborhood gives the
+extension mask.  Each class is represented by its first child.  A child
+is refined once by colour refinement and compared, by a cell-preserving
+mapping search, only with the representatives sharing its refinement
+invariant.  Two rules skip children that are never first without
+refining them: a neighborhood that an automorphism of the parent maps
+to an earlier one, and a child with a deletion whose degree multiset
+only parents before its own have, so that an earlier parent already
+produced its class.
 
 A level can be restricted to the classes free of some induced patterns.
 Such a class is hereditary: every deletion of a member is a member.  So
@@ -27,7 +30,8 @@ hereditary first: a class's one-vertex deletions are read one level
 down, its enumeration parent first, and a pair is solved on the class
 only while every deletion read so far is perfect for it.  One dict per
 level maps a deletion's rows to its flags, seeded with the empty graph's
-all-True flags, so a sweep labels each deletion at most once.
+all-True flags, so a sweep looks up each deletion at most once, in its
+refinement bucket one level down.
 
 Every theorem id is a stream of rows (graph, details), one per checked
 graph, whose details list its violations (none when it passes): the
@@ -44,7 +48,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .forbidden import PATTERNS, contains_induced, family_check
 from .graph6 import to_graph6
@@ -53,8 +57,9 @@ from .graphs import (
     CapacityError,
     Graph,
     _automorphisms,
+    _mapping_exists,
+    _refine,
     _trusted,
-    canonical_form,
     check_cap,
     complete_graph,
     cycle_graph,
@@ -131,9 +136,72 @@ def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -
     return False
 
 
+_Bucket = tuple[tuple[Graph, bytes], ...]
+
+
+class _Level(NamedTuple):
+    """One level of the enumeration, indexed by colour refinement.
+
+    ``graphs`` lists the representatives in enumeration order.
+    ``buckets`` maps a refinement invariant (``graphs._refine``) to the
+    representatives sharing it, each with its refined cells as bytes.
+    """
+
+    graphs: list[Graph]
+    buckets: dict[int, _Bucket]
+
+
+def _isomorph_in(bucket: _Bucket, g: Graph, cells: list[int]) -> Graph | None:
+    """The member of ``bucket`` isomorphic to g, whose refined cells are ``cells``, if any.
+
+    Each member is tried by one mapping search that sends every cell of g
+    onto the member's cell of the same number, the test ``is_isomorphic``
+    runs once the invariants agree.
+    """
+    for member, member_cells in bucket:
+        if _mapping_exists(g, member, cells, dict(enumerate(member_cells))):
+            return member
+    return None
+
+
+def _representative(level: _Level, g: Graph) -> Graph:
+    """The representative on ``level`` of g's class, which must be there.
+
+    A one-vertex deletion of a class is always on the level below: a full
+    level has every class, and a restricted one every deletion of its
+    members, since pattern-freeness is hereditary.  So a bucket of one
+    member answers with no search; a larger one runs the mapping search
+    on its members in turn.
+    """
+    cells, key = _refine(g)
+    bucket = level.buckets[key]
+    if len(bucket) == 1:
+        return bucket[0][0]
+    member = _isomorph_in(bucket, g, cells)
+    assert member is not None, "the class of a deletion is always one level down"
+    return member
+
+
+def _children(n: int, free_of: tuple[str, ...]) -> Iterator[Graph]:
+    """The children of level n - 1 that pruning keeps, by parent and then by mask."""
+    if n == 1:
+        yield empty_graph(1)
+        return
+    parents = _canonical_level(n - 1, free_of).graphs
+    last = {sum(_degree_weights(parent.adj)): i for i, parent in enumerate(parents)}
+    new = 1 << (n - 1)
+    for i, parent in enumerate(parents):
+        base = parent.adj
+        for mask in _extension_masks(parent):
+            rows = tuple(row | new if mask >> u & 1 else row for u, row in enumerate(base))
+            rows += (mask,)
+            if not _produced_earlier(rows, i, last):
+                yield _trusted(n, rows)
+
+
 @lru_cache(maxsize=None)
-def _canonical_level(n: int, free_of: tuple[str, ...]) -> dict[bytes, Graph]:
-    """One representative per class on n vertices free of ``free_of``, keyed by canonical form.
+def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
+    """One representative per class on n vertices free of ``free_of``, indexed by refinement.
 
     ``free_of`` names ``PATTERNS``; with none, the level holds every
     isomorphism class.  Each class keeps its first child in parent order
@@ -142,8 +210,10 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> dict[bytes, Graph]:
     automorphism of the parent maps lower; earlier-parent pruning
     (``_produced_earlier``) skips a child with a deletion isomorphic to an
     earlier parent.  Together they leave 1, 2, 4, 11, 34, 174, 1,623 and
-    32,817 children to label at levels 1 to 8 of the full enumeration,
-    against 79,264 at level 8 with orbit pruning alone.
+    32,817 children to refine at levels 1 to 8 of the full enumeration,
+    against 79,264 at level 8 with orbit pruning alone.  A child is kept
+    when ``_isomorph_in`` finds no representative in its bucket: 628
+    mapping searches to level 7, of which 597 find the child's class.
 
     Pattern-freeness is hereditary, so a restricted level is exact:
     - every deletion of a member is a member, so the members one level
@@ -154,8 +224,8 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> dict[bytes, Graph]:
       earlier-parent pruning, which skips only children outside the class
       or isomorphic to a child of an earlier member parent;
     so each member has the same representative, in the same order.  A
-    child that holds a pattern is dropped before it is labelled: the
-    (P4, C4)-free levels label 1, 2, 4, 9, 20, 48, 115 and 288 children.
+    child that holds a pattern is dropped before it is refined: the
+    (P4, C4)-free levels refine 1, 2, 4, 9, 20, 48, 115 and 288 children.
 
     Every caller passes ``free_of`` positionally as a tuple, so each
     level is cached once per pattern set: at most 8 levels (the
@@ -163,31 +233,16 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> dict[bytes, Graph]:
     that a target names or a caller asks for.
     """
     patterns = [PATTERNS[name] for name in free_of]
-
-    def free(g: Graph) -> bool:
-        return all(contains_induced(g, pattern) is None for pattern in patterns)
-
-    if n == 1:
-        g = empty_graph(1)
-        return {canonical_form(g): g} if free(g) else {}
-    parents = _canonical_level(n - 1, free_of).values()
-    last = {sum(_degree_weights(parent.adj)): i for i, parent in enumerate(parents)}
-    seen: dict[bytes, Graph] = {}
-    new = 1 << (n - 1)
-    for i, parent in enumerate(parents):
-        base = parent.adj
-        for mask in _extension_masks(parent):
-            rows = tuple(row | new if mask >> u & 1 else row for u, row in enumerate(base))
-            rows += (mask,)
-            if _produced_earlier(rows, i, last):
-                continue
-            g = _trusted(n, rows)
-            if not free(g):
-                continue
-            key = canonical_form(g)
-            if key not in seen:
-                seen[key] = g
-    return seen
+    level = _Level([], {})
+    for g in _children(n, free_of):
+        if any(contains_induced(g, pattern) is not None for pattern in patterns):
+            continue
+        cells, key = _refine(g)
+        bucket = level.buckets.get(key, ())
+        if _isomorph_in(bucket, g, cells) is None:
+            level.buckets[key] = bucket + ((g, bytes(cells)),)
+            level.graphs.append(g)
+    return level
 
 
 def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
@@ -203,7 +258,7 @@ def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
     unknown = [name for name in free_of if name not in PATTERNS]
     if unknown:
         raise ValueError(f"unknown patterns {unknown}, expected names from {sorted(PATTERNS)}")
-    yield from _canonical_level(n, free_of).values()
+    yield from _canonical_level(n, free_of).graphs
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +329,12 @@ def _live_pairs(g: Graph, target: _Target, below: LevelFlags) -> tuple[Pair, ...
 
     Each deletion g - v is built by shifting the higher bits of each row
     down one place and its flags are read from ``below`` by those rows.
-    On a miss the deletion is labelled once with its canonical form and
-    its class representative's flags, from the target's own level one
-    down, are stored under its rows.  g - (n-1) is g's enumeration parent,
-    a representative one level down, so it is read first and never
-    labelled.  The other deletions are read only while some pair is
-    still alive.
+    On a miss the deletion's class representative is looked up once in
+    its refinement bucket on the target's own level one down
+    (``_representative``), and its flags are stored under the deletion's
+    rows.  g - (n-1) is g's enumeration parent, a representative one
+    level down, so it is read first and never looked up.  The other
+    deletions are read only while some pair is still alive.
     """
     n = g.n
     live = target.pairs
@@ -292,8 +347,8 @@ def _live_pairs(g: Graph, target: _Target, below: LevelFlags) -> tuple[Pair, ...
         )
         flags = below.get(deleted)
         if flags is None:
-            key = canonical_form(_trusted(n - 1, deleted))
-            flags = below[deleted] = below[_canonical_level(n - 1, target.free_of)[key].adj]
+            level = _canonical_level(n - 1, target.free_of)
+            flags = below[deleted] = below[_representative(level, _trusted(n - 1, deleted)).adj]
         live = tuple(pair for pair in live if flags[pair])
     return live
 
@@ -308,7 +363,7 @@ def _table_rows(
     alive; a pair with an imperfect deletion is False without a solve.
     One dict per level maps a deletion's rows to its flags, seeded with
     the empty graph's all-True flags, the base case of the definition;
-    it holds the representatives' flags and gains each labelled deletion,
+    it holds the representatives' flags and gains each looked-up deletion,
     and is dropped with the level.  The classes are then solved and
     checked independently, in ``pool`` when given.
     """
@@ -510,7 +565,7 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> Iterator[Row]:
     target = _TARGETS[theorem]
     workers = 1
     if jobs > 1:
-        classes = sum(len(_canonical_level(n, target.free_of)) for n in range(1, n_max + 1))
+        classes = sum(len(_canonical_level(n, target.free_of).graphs) for n in range(1, n_max + 1))
         workers = _worker_count(jobs, classes)
     pool: Executor | nullcontext = nullcontext()
     broken: tuple[type[Exception], ...] = ()

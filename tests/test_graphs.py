@@ -27,7 +27,7 @@ from abperfect import (
     path_graph,
     universal_vertices,
 )
-from abperfect.graphs import _automorphisms, _trusted
+from abperfect.graphs import _automorphisms, _mapping_exists, _refine, _trusted
 from oracles import diameter
 from oracles import brute_automorphism_count, brute_min_code, labeled_graphs, small_classes
 
@@ -346,7 +346,8 @@ def test_automorphisms_preserve_adjacency_and_generate_the_group():
         assert len(group) == brute_automorphism_count(g)
 
 
-def test_canonical_form_agrees_with_networkx_on_random_pairs():
+def _random_pairs_with_networkx_verdicts():
+    """600 pairs of 8-vertex graphs, each with networkx's isomorphism verdict."""
     nx = pytest.importorskip("networkx")
 
     def to_nx(g):
@@ -356,7 +357,6 @@ def test_canonical_form_agrees_with_networkx_on_random_pairs():
         return h
 
     rng = random.Random(2015)
-    outcomes = []
     for trial in range(600):
         p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
         edges = [(u, v) for u, v in combinations(range(8), 2) if rng.random() < p]
@@ -373,7 +373,41 @@ def test_canonical_form_agrees_with_networkx_on_random_pairs():
                     other = other - {(a, b), (c, d)} | {ad, cb}
                     break
         g, h = from_edge_list(8, edges), from_edge_list(8, other)
-        expected = nx.is_isomorphic(to_nx(g), to_nx(h))
+        yield g, h, nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def test_canonical_form_agrees_with_networkx_on_random_pairs():
+    outcomes = []
+    for g, h, expected in _random_pairs_with_networkx_verdicts():
         assert (canonical_form(g) == canonical_form(h)) == expected, (g, h)
         outcomes.append(expected)
     assert outcomes.count(True) >= 300 and outcomes.count(False) >= 100
+
+
+def test_refinement_invariant_under_random_relabeling():
+    # An isomorphism keeps the invariant and sends each vertex to the
+    # cell of the same number, which the cell-preserving search relies on.
+    rng = random.Random(1980)
+    for g in small_classes(6):
+        cells, key = _refine(g)
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            moved, moved_key = _refine(relabeled)
+            assert moved_key == key, g
+            assert [moved[perm[v]] for v in range(g.n)] == cells, g
+
+
+def test_refinement_match_agrees_with_networkx_on_random_pairs():
+    # The level lookups' test: the same invariant, then a mapping found
+    # between cells of equal number.
+    outcomes = []
+    for g, h, expected in _random_pairs_with_networkx_verdicts():
+        (g_cells, g_key), (h_cells, h_key) = _refine(g), _refine(h)
+        found = g_key == h_key and _mapping_exists(g, h, g_cells, dict(enumerate(h_cells)))
+        assert found == expected, (g, h)
+        outcomes.append((expected, g_key == h_key))
+    # Some pairs share the invariant without being isomorphic, so the
+    # search decides them.
+    assert outcomes.count((True, True)) >= 300 and outcomes.count((False, True)) >= 1

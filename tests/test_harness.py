@@ -17,6 +17,7 @@ import abperfect
 
 from abperfect import (
     INVARIANT_CHAIN,
+    THEOREM_IDS,
     CapacityError,
     Graph,
     canonical_form,
@@ -107,10 +108,10 @@ def test_earlier_parent_pruning_skips_only_children_an_earlier_parent_produced()
     # children of levels 2..7 number 2, 6, 20, 90, 544 and 5,096.
     skipped = 0
     for n in range(2, 8):
-        below = harness._canonical_level(n - 1, ())
-        index = {key: j for j, key in enumerate(below)}
-        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below.values())}
-        for i, parent in enumerate(below.values()):
+        below = harness._canonical_level(n - 1, ()).graphs
+        index = {canonical_form(p): j for j, p in enumerate(below)}
+        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below)}
+        for i, parent in enumerate(below):
             for mask in harness._extension_masks(parent):
                 rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
                 g = Graph(n, rows + [mask])
@@ -122,27 +123,71 @@ def test_earlier_parent_pruning_skips_only_children_an_earlier_parent_produced()
     assert skipped == 3_910
 
 
+def _count_lookups(monkeypatch):
+    """Record each graph that harness refines and the first graph of each mapping search."""
+    refined, searched = [], []
+    refine, mapping_exists = harness._refine, harness._mapping_exists
+
+    def counted_refine(g):
+        refined.append(g)
+        return refine(g)
+
+    def counted_mapping_exists(g1, g2, ranks1, ranks2):
+        searched.append(g1)
+        return mapping_exists(g1, g2, ranks1, ranks2)
+
+    monkeypatch.setattr(harness, "_refine", counted_refine)
+    monkeypatch.setattr(harness, "_mapping_exists", counted_mapping_exists)
+    return refined, searched
+
+
 def test_cold_enumeration_labels_pinned_children(monkeypatch):
     # A fresh cache over the same function enumerates cold; the shared
-    # cache is back in place, still warm, after the test.
+    # cache is back in place, still warm, after the test.  Each child that
+    # pruning keeps is refined once and searched against each earlier
+    # representative sharing its invariant: 628 searches to level 7 for
+    # 597 children whose class an earlier child has.
     cold = lru_cache(maxsize=None)(harness._canonical_level.__wrapped__)
     monkeypatch.setattr(harness, "_canonical_level", cold)
-    labelled = []
-    real = harness.canonical_form
-
-    def counted(g):
-        labelled.append(g.n)
-        return real(g)
-
-    monkeypatch.setattr(harness, "canonical_form", counted)
+    refined, searched = _count_lookups(monkeypatch)
     cold(7, ())
-    assert [labelled.count(n) for n in range(1, 8)] == [1, 2, 4, 11, 34, 174, 1_623]
-    # A restricted level drops a child holding a pattern before labelling
+    counts = [[g.n for g in refined].count(n) for n in range(1, 8)]
+    assert counts == [1, 2, 4, 11, 34, 174, 1_623]
+    assert [[g.n for g in searched].count(n) for n in range(1, 8)] == [0] * 5 + [22, 606]
+    assert sum(counts) - sum(len(cold(n, ()).graphs) for n in range(1, 8)) == 597
+    # A restricted level drops a child holding a pattern before refining
     # it, and builds no full level on the way.
-    labelled.clear()
+    refined.clear()
+    searched.clear()
     cold(8, ("P4", "C4"))
-    assert [labelled.count(n) for n in range(1, 9)] == [1, 2, 4, 9, 20, 48, 115, 288]
+    counts = [[g.n for g in refined].count(n) for n in range(1, 9)]
+    assert counts == [1, 2, 4, 9, 20, 48, 115, 288]
+    assert [g.n for g in searched] == [8, 8]
     assert cold.cache_info().currsize == 7 + 8
+
+
+def _assert_lookups_agree_with_canonical_form(n_values):
+    # Every deletion of every class, found in its refinement bucket one
+    # level down, is the representative with its canonical form: the slow
+    # path, which shares no code with the buckets beyond _refine.
+    for free_of in ((), ("P4", "C4")):
+        for n in n_values:
+            below = harness._canonical_level(n - 1, free_of)
+            by_form = {canonical_form(h): h for h in below.graphs}
+            for g in enumerate_graphs(n, free_of):
+                for v in range(n):
+                    h = induced_subgraph(g, set(range(n)) - {v})
+                    found = harness._representative(below, h)
+                    assert found is by_form[canonical_form(h)], (free_of, to_graph6(g), v)
+
+
+def test_deletion_lookups_agree_with_canonical_form():
+    _assert_lookups_agree_with_canonical_form(range(2, 8))
+
+
+@pytest.mark.slow
+def test_deletion_lookups_agree_with_canonical_form_at_8():
+    _assert_lookups_agree_with_canonical_form([8])
 
 
 def _assert_restricted_levels_filter_the_full_ones(n_values):
@@ -188,10 +233,10 @@ def test_restricted_pruning_skips_only_children_outside_or_produced_earlier():
     patterns = [PATTERNS[name].graph for name in free_of]
     skipped = outside = 0
     for n in range(2, 9):
-        below = harness._canonical_level(n - 1, free_of)
-        index = {key: j for j, key in enumerate(below)}
-        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below.values())}
-        for i, parent in enumerate(below.values()):
+        below = harness._canonical_level(n - 1, free_of).graphs
+        index = {canonical_form(p): j for j, p in enumerate(below)}
+        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below)}
+        for i, parent in enumerate(below):
             for mask in harness._extension_masks(parent):
                 rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
                 g = Graph(n, rows + [mask])
@@ -250,6 +295,30 @@ def test_all_sweeps_pass_at_small_scale():
         result = sweep(theorem, n_max)
         assert result.passed, result.violations
         assert result.theorem == theorem and result.n_max == n_max
+
+
+@pytest.mark.slow
+def test_every_sweep_report_at_8_is_frozen():
+    # SHA-256 of each theorem's report at n = 8 as sorted-key JSON without
+    # elapsed_ms, recorded before the levels were indexed by refinement:
+    # any change to a count, a violation or their order shows here.
+    frozen = {
+        "eq1_chain": "e94f2c509498805ede7282f468651af8ab8023125ed3ca0715c462a79027cac8",
+        "figure3_inclusions": "f436b9d059c30e85c596411c3b5af8e370a227fa9927d96201188971d002e450",
+        "interpolation_grundy": "7d5a947a99ca4871350882012ee51f6ae45405885cb8cb0b8a355194e398368e",
+        "interpolation_hhp": "965f6170aca96f8c0e9c421182807b317b7f351f62abb3e9a2cd788fa20298d5",
+        "lemma1": "e2a64664ef6e8c77a143bbad5c5e92c9a487a0d65ff45c8d688efd1ddbbbabaf",
+        "lemma2": "a167586a43d1e17df4371608e04c7c6647fc6a293d657e32680ae4bd53134741",
+        "theorem1_cs": "36ac174a6ea8e852d1fa8d8c72f2cf73f810b96dcf1b1ac9511b78b03ae4d085",
+        "theorem2_cs": "5d53e68c65afbc1d954d219512eab30b073d9443b5424bc92ae9b8d3b81d8b84",
+        "theorem4": "9ba44c6ae794d565dc51d6fda61cd3e042a44572e84b542e603ad5beb7337830",
+    }
+    digests = {}
+    for theorem in THEOREM_IDS:
+        payload = sweep(theorem, 8).to_dict()
+        del payload["elapsed_ms"]
+        digests[theorem] = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digests == frozen
 
 
 def test_sweep_reports_are_deterministic():
@@ -313,8 +382,8 @@ def test_lemma1_pool_counts_workers_on_its_own_levels(monkeypatch):
 
 def test_restricted_pair_table_reads_only_its_own_levels(monkeypatch):
     # No target has both pairs and patterns, so a synthetic one checks that
-    # a labelled deletion is looked up on the restricted level below and
-    # that the rows are those of the full table's free classes.
+    # a deletion is looked up on the restricted level below and that the
+    # rows are those of the full table's free classes.
     pairs = (("omega", "psi"), ("chi", "psi"))
     for theorem, free_of in (("full", ()), ("restricted", ("P4", "C4"))):
         target = harness._Target(lambda g, values, flags: None, pairs, free_of=free_of)
@@ -323,18 +392,11 @@ def test_restricted_pair_table_reads_only_its_own_levels(monkeypatch):
     expected = [row for row in harness._table_rows("full", 7) if row[0].adj in members]
     cold, asked = _record_levels(monkeypatch)
     cold(7, ("P4", "C4"))
-    # The levels are warm, so every label below is a deletion's.
-    labelled = []
-    real = harness.canonical_form
-
-    def counted(g):
-        labelled.append(g)
-        return real(g)
-
-    monkeypatch.setattr(harness, "canonical_form", counted)
+    # The levels are warm, so every refinement below is a deletion's lookup.
+    refined, searched = _count_lookups(monkeypatch)
     assert list(harness._table_rows("restricted", 7)) == expected
     assert {free_of for _, free_of in asked} == {("P4", "C4")}
-    assert len(labelled) == 127
+    assert (len(refined), len(searched)) == (127, 0)
 
 
 def test_each_level_is_cached_once(monkeypatch):
@@ -520,23 +582,19 @@ def test_pair_sweeps_solve_only_where_every_deletion_is_perfect(monkeypatch):
 def test_pair_sweep_labels_each_deletion_at_most_once(monkeypatch):
     # A deletion with the rows of a representative one level down is read
     # by those rows, the enumeration parent among them; any other is
-    # labelled once per sweep.  The enumeration is warmed first, so every
-    # canonical_form call that harness makes here labels a deletion.
+    # looked up once per sweep.  The enumeration is warmed first, so every
+    # refinement that harness makes here is a deletion's lookup, and a
+    # mapping search runs only where the lookup's bucket has two members.
     harness._canonical_level(7, ())
     representatives = {
-        h.adj for n in range(1, 7) for h in harness._canonical_level(n, ()).values()
+        h.adj for n in range(1, 7) for h in harness._canonical_level(n, ()).graphs
     }
-    labelled = []
-    real = harness.canonical_form
-
-    def counted(g):
-        labelled.append(g.adj)
-        return real(g)
-
-    monkeypatch.setattr(harness, "canonical_form", counted)
+    refined, searched = _count_lookups(monkeypatch)
     assert sweep("theorem4", 7).passed
-    assert not representatives.intersection(labelled)
-    assert len(set(labelled)) == len(labelled) == 182
+    looked_up = [g.adj for g in refined]
+    assert not representatives.intersection(looked_up)
+    assert len(set(looked_up)) == len(looked_up) == 182
+    assert len(searched) == 4
 
 
 def test_interpolation_gap_matches_brute_force_counts(monkeypatch):
@@ -633,7 +691,9 @@ def test_cs_sweeps_and_witnesses_report_an_off_by_one(monkeypatch):
     # gamma(P4) = 3 read as 2 makes P4 omega-gamma-perfect although it is
     # not P4-free, and makes the P4 witness perfect for the pair it must
     # fail; alpha(P4) read as 2 breaks theorem2_cs the same way.
-    p4 = to_graph6(harness._canonical_level(4, ())[canonical_form(path_graph(4))])
+    key = canonical_form(path_graph(4))
+    level = harness._canonical_level(4, ()).graphs
+    p4 = next(to_graph6(g) for g in level if canonical_form(g) == key)
     with monkeypatch.context() as patch:
         _off_by_one(patch, "gamma", path_graph(4), -1)
         assert sweep("theorem1_cs", 4).violations == [
