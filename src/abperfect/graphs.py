@@ -12,7 +12,7 @@ are pure, so graphs can be shared freely between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 32
 
@@ -172,6 +172,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         raise ValueError("induced subgraph on the empty set is undefined")
     if members[0] < 0 or members[-1] >= g.n:
         raise ValueError(f"vertices {members} not within 0..{g.n - 1}")
+    return _induced(g, members)
+
+
+def _induced(g: Graph, members: Sequence[int]) -> Graph:
+    """``induced_subgraph`` on members that are already distinct, ascending and
+    within 0..n-1, as the subset scan reads them from ``_MEMBERS``."""
     rows = []
     for v in members:
         row, sub = g.adj[v], 0
@@ -261,7 +267,8 @@ def k44_c7_graph() -> Graph:
 
 
 # _MEMBERS[row]: the vertices of an adjacency row, ascending, for every
-# row of a graph on at most 10 vertices, the largest that ``_refine`` sees.
+# row of a graph on at most 10 vertices, the largest that ``_refine`` sees;
+# the subset scan reads its vertex masks here too, up to its own cap of 10.
 _MEMBERS: list[tuple[int, ...]] = [()]
 for _v in range(CAPS["is_isomorphic"]):
     _MEMBERS += [members + (_v,) for members in _MEMBERS]

@@ -23,7 +23,12 @@ definitions alone in ROADMAP item 3; it is none of the theorems that the
 sweeps verify.  When the scan reaches a subset S, every deletion S - u has
 passed with a = b = x_u, so a(S) and b(S) both lie in [max x_u,
 min x_u + 1]: when the deletions' values differ, that interval is one
-value and a(S) = b(S) = max x_u with no solve.
+value and a(S) = b(S) = max x_u with no solve.  When they all equal x,
+each of a(S) and b(S) is x or x + 1, and one step of the table
+``solvers.INVARIANT_STEPS`` settles it: gamma by one exact decision
+"a Grundy coloring with >= x + 1 colors?" in place of the full Grundy
+memo, chi by one proper-coloring search with x colors, and omega, alpha
+and psi by their full solves.
 
 The recognizer decides the structural characterization of the
 omega-psi-perfect graphs: a connected one is a complete graph or the
@@ -38,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .graphs import (
+    _MEMBERS,
     Graph,
-    bits,
+    _induced,
     check_cap,
     complete_graph,
     connected_components,
@@ -50,7 +56,7 @@ from .graphs import (
     join,
     universal_vertices,
 )
-from .solvers import INVARIANT_CHAIN, INVARIANT_SOLVERS
+from .solvers import INVARIANT_CHAIN, INVARIANT_STEPS
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,13 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     x_u = a(S - u) = b(S - u) = ``value[S - u]``.  The deletion sandwich
     (ROADMAP item 3) puts a(S) and b(S) in [max x_u, min x_u + 1]; when
     the x_u differ, both equal max x_u, which the memo records with no
-    solve.  A forced subset never disagrees, so the counterexample, always
-    a solved subset, and its values are those of the full scan.
+    solve.  When they all equal x, S is unforced: its members, read from
+    ``graphs._MEMBERS``, already sorted, induce h, and the step
+    ``INVARIANT_STEPS[name](h, x)`` of each invariant returns its value,
+    knowing it is x or x + 1; gamma's and chi's steps are one decision
+    each.  Every step is exact, so a forced subset never disagrees, and
+    the counterexample, always an unforced subset, and its values are
+    those of the full scan.
     """
     if a not in INVARIANT_CHAIN or b not in INVARIANT_CHAIN:
         raise ValueError(f"invariants must be among {INVARIANT_CHAIN}")
@@ -110,8 +121,8 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     check_cap("is_ab_perfect", g.n)
     if a == b:
         return PerfectnessVerdict((a, b), True, None)
-    solve_a = INVARIANT_SOLVERS[a]
-    solve_b = INVARIANT_SOLVERS[b]
+    step_a = INVARIANT_STEPS[a]
+    step_b = INVARIANT_STEPS[b]
     n, adj = g.n, g.adj
     value = [0] * (1 << n)
     own = [0] * (1 << n)
@@ -137,12 +148,12 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
                 key = base | row << offset
                 x = solved.get(key)
                 if x is None:
-                    members = list(bits(mask))
+                    members = _MEMBERS[mask]
                     deletions = [value[mask ^ 1 << v] for v in members]
                     x = max(deletions)
                     if x == min(deletions):
-                        h = induced_subgraph(g, members)
-                        a_val, b_val = solve_a(h), solve_b(h)
+                        h = _induced(g, members)
+                        a_val, b_val = step_a(h, x), step_b(h, x)
                         if a_val != b_val:
                             return PerfectnessVerdict(
                                 (a, b), False, (frozenset(members), a_val, b_val)

@@ -3,7 +3,9 @@
 clique number      -- branch and bound over adjacency bitsets
 chromatic number   -- iterative deepening k-colorability from the clique bound
 Grundy number      -- memoized peeling of maximal independent sets, each
-                      vertex mask's feasible color counts kept as one bitmask
+                      vertex mask's feasible color counts kept as one bitmask;
+                      deciding gamma >= t walks the same peeling depth-first,
+                      keeping only refutations, with a degree cut t <= Delta + 1
 achromatic and pseudoachromatic numbers
                    -- backtracking over canonically-ordered set partitions
                       with an edge bound: uncovered color pairs vs. the
@@ -23,7 +25,9 @@ achromatic and pseudoachromatic numbers
 
 ``INVARIANT_SOLVERS`` is the invariant table: it maps each invariant's name
 to its solver in chain order, and ``INVARIANT_CHAIN`` is its keys.  The
-ab-perfectness scan, the sweeps and ``profile`` all read it.  Whether a
+sweeps and ``profile`` read it.  The ab-perfectness scan reads
+``INVARIANT_STEPS``, one step per invariant that returns its value on a
+graph where the value is known to be x or x + 1.  Whether a
 coloring of one mode with exactly k colors exists is one per-graph test,
 ``_colorable``, asked by ``has_coloring`` and the interpolation sweeps.
 
@@ -247,6 +251,44 @@ def grundy_number(g: Graph, witness: bool = False) -> int | tuple[int, Coloring]
                 need -= 1
                 break
     return value, Coloring(tuple(color))
+
+
+def _grundy_at_least(g: Graph, t: int) -> bool:
+    """Whether g has a Grundy coloring with at least t colors, that is t <= gamma(g).
+
+    The same peeling as ``_grundy_reachable``, as a decision: the subgraph
+    on S has a Grundy coloring with >= t colors exactly when some maximal
+    independent M in S leaves S minus M one with >= t-1 colors.  Every S
+    has one with >= 0 colors and a nonempty S one with >= 1, so t <= 1 is
+    answered on entry.  The walk is depth-first over the sets that
+    ``_maximal_independent_sets`` yields and stops at the first success,
+    so only refutations are remembered: ``refuted[S]`` is the least t
+    refuted on S.  The memo is monotone: a coloring with >= t' colors has
+    >= t colors when t <= t', so a refutation at t holds for every larger
+    t, and any query (S, t') with t' >= ``refuted[S]`` is refused.
+
+    Degree cut.  In a Grundy coloring a vertex v of color c has a neighbor
+    of each color 1..c-1, so c - 1 <= deg(v) and no coloring of the
+    subgraph on S uses more than Delta(G[S]) + 1 colors.  A query with
+    t > Delta(G[S]) + 1 is refused before its sets are listed.
+    """
+    adj = g.adj
+    non = complement(g).adj
+    refuted: dict[int, int] = {}
+
+    def at_least(mask: int, t: int) -> bool:
+        if t <= 1:
+            return t <= 0 or mask != 0
+        if refuted.get(mask, t + 1) <= t:
+            return False
+        if any((adj[v] & mask).bit_count() >= t - 1 for v in bits(mask)):
+            for s in _maximal_independent_sets(non, mask):
+                if at_least(mask ^ s, t - 1):
+                    return True
+        refuted[mask] = t
+        return False
+
+    return at_least((1 << g.n) - 1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +533,29 @@ INVARIANT_SOLVERS = {
 }
 
 INVARIANT_CHAIN = tuple(INVARIANT_SOLVERS)
+
+
+def _solved(name: str) -> Callable[[Graph, int], int]:
+    """A step that solves ``name`` in full, through the table at call time."""
+    return lambda h, x: INVARIANT_SOLVERS[name](h)
+
+
+# The subset scan's steps: (h, x) -> the invariant's value on h, for an h
+# whose value is known to be x or x + 1.  gamma and chi decide it with one
+# search each: gamma = x + 1 exactly when h has a Grundy coloring with
+# >= x + 1 colors, and chi = x exactly when h has a proper coloring with
+# <= x colors (none at x = 0).  omega, alpha and psi keep their full
+# solves, read from ``INVARIANT_SOLVERS`` at call time so that a solver
+# replaced there reaches the scan too.  A decision at x + 1 was no faster
+# for them on the bench's check corpus: alpha's and psi's descending
+# search refuses most k above x + 1 on entry.
+INVARIANT_STEPS: dict[str, Callable[[Graph, int], int]] = {
+    "omega": _solved("omega"),
+    "chi": lambda h, x: x if _proper_k_coloring(h, x) is not None else x + 1,
+    "gamma": lambda h, x: x + _grundy_at_least(h, x + 1),
+    "alpha": _solved("alpha"),
+    "psi": _solved("psi"),
+}
 
 
 def profile(g: Graph) -> ParameterProfile:

@@ -656,7 +656,8 @@ def test_interpolation_grundy_builds_one_reachable_set_per_class(monkeypatch):
 
 
 def _off_by_one(monkeypatch, invariant, victim, delta):
-    """Make the table's solver for ``invariant`` wrong by ``delta`` on victim's class."""
+    """Make the table's solver for ``invariant`` wrong by ``delta`` on victim's
+    class, and the subset scan's step for it too, by solving through it."""
     real = solvers.INVARIANT_SOLVERS[invariant]
     key = canonical_form(victim)
 
@@ -665,6 +666,7 @@ def _off_by_one(monkeypatch, invariant, victim, delta):
         return value + delta if g.n == victim.n and canonical_form(g) == key else value
 
     monkeypatch.setitem(solvers.INVARIANT_SOLVERS, invariant, broken)
+    monkeypatch.setitem(solvers.INVARIANT_STEPS, invariant, lambda h, x: broken(h))
 
 
 def test_table_sweeps_do_not_assume_the_theorem(monkeypatch):

@@ -29,7 +29,8 @@ from abperfect import (
     recognize_structure,
     to_graph6,
 )
-from abperfect.solvers import INVARIANT_SOLVERS
+from abperfect.graphs import _MEMBERS, CAPS, bits
+from abperfect.solvers import INVARIANT_SOLVERS, INVARIANT_STEPS
 from oracles import reference_scan, seeded_gnp, small_classes
 
 PAIRS = tuple(combinations(INVARIANT_CHAIN, 2))
@@ -158,14 +159,15 @@ def test_scan_memo_matches_reference_scan():
                 assert verdict.perfect or not full_scan
 
 
-def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
-    # K2 joined over K3 + K3 + 2 isolated vertices is omega-psi-perfect, so
-    # the scan visits all 1,023 subsets; they induce 86 distinct labelled
-    # subgraphs.  A subset whose deletions' values differ is forced by the
-    # deletion sandwich, so each solver runs once on each labelled subgraph
-    # of an unforced subset, 14 of the 86, and on no other.  The memo is
-    # keyed per size by the relabelled upper triangle as one int, so that
-    # code must be injective on each size's labelled subgraphs.
+def _full_scan_shape():
+    """K2 joined over K3 + K3 + 2 isolated vertices, and the distinct labelled
+    subgraphs of its unforced subsets.
+
+    It is a cograph and omega-psi-perfect, so every pair's scan visits all
+    1,023 subsets, which induce 86 distinct labelled subgraphs.  A subset
+    whose deletions' values differ is forced by the deletion sandwich;
+    the others induce 14 of the 86.
+    """
     g = join(
         complete_graph(2),
         disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(2)),
@@ -181,6 +183,15 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
         if len({value[tuple(w for w in s if w != v)] for v in s}) == 1
     }
     assert len(unforced) == 14
+    return g, unforced
+
+
+def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
+    # Each solver runs once on each labelled subgraph of an unforced
+    # subset and on no other.  The memo is keyed per size by the relabelled
+    # upper triangle as one int, so that code must be injective on each
+    # size's labelled subgraphs.
+    g, unforced = _full_scan_shape()
     solved: dict = {}
     for name in ("omega", "psi"):
 
@@ -193,6 +204,35 @@ def test_scan_solves_each_distinct_subgraph_once(monkeypatch):
     for name in ("omega", "psi"):
         assert len(solved[name]) == len(set(solved[name])), name
         assert set(solved[name]) == unforced, name
+
+
+def test_scan_decides_gamma_once_per_unforced_subgraph(monkeypatch):
+    # The omega-gamma scan of the same shape settles gamma by its decision
+    # step alone: the full Grundy solver is never called, and the step runs
+    # once on each labelled subgraph of an unforced subset, told an x with
+    # gamma = omega in {x, x + 1}.
+    g, unforced = _full_scan_shape()
+    stepped = []
+
+    def counted(h, x, step=INVARIANT_STEPS["gamma"]):
+        stepped.append(h.adj)
+        assert INVARIANT_SOLVERS["omega"](h) - x in (0, 1)
+        return step(h, x)
+
+    def refused(h):
+        raise AssertionError("the scan called grundy_number")
+
+    monkeypatch.setitem(INVARIANT_STEPS, "gamma", counted)
+    monkeypatch.setitem(INVARIANT_SOLVERS, "gamma", refused)
+    assert is_ab_perfect(g, "omega", "gamma").perfect
+    assert len(stepped) == len(set(stepped)) and set(stepped) == unforced
+
+
+def test_scan_reads_members_for_every_mask_up_to_its_cap():
+    # The scan reads each subset's members from the table that colour
+    # refinement builds for its own cap; both caps must cover 10 vertices.
+    assert len(_MEMBERS) >= 1 << CAPS["is_ab_perfect"]
+    assert all(_MEMBERS[mask] == tuple(bits(mask)) for mask in range(len(_MEMBERS)))
 
 
 def test_scan_rows_match_induced_subgraph(monkeypatch):

@@ -41,7 +41,14 @@ from abperfect import (
     to_graph6,
 )
 from abperfect.graphs import CAPS
-from abperfect.solvers import _MODE_SOLVERS, _colorable, _maximal_independent_sets
+from abperfect.solvers import (
+    _MODE_SOLVERS,
+    INVARIANT_STEPS,
+    _colorable,
+    _grundy_at_least,
+    _grundy_reachable,
+    _maximal_independent_sets,
+)
 from oracles import (
     brute_chromatic,
     brute_clique,
@@ -178,10 +185,26 @@ def test_complete_counts_match_oracle_on_complete_bipartite():
 
 
 def test_grundy_counts_match_oracle_at_6():
-    # Every feasible count, not only the largest one.
+    # Every feasible count, not only the largest one; the scan's decision
+    # "gamma >= t" for every t, past n too, where its degree cut refuses.
     for g in small_classes(6):
         counts = {k for k in range(1, g.n + 1) if has_coloring(g, k, "grundy")}
         assert counts == brute_grundy_counts(g), to_graph6(g)
+        for t in range(g.n + 2):
+            assert _grundy_at_least(g, t) == (t <= max(counts)), (to_graph6(g), t)
+
+
+def test_scan_steps_match_full_solvers_on_random_graphs():
+    # The gamma decision at every t against the Grundy memo, and each
+    # decided step, at both values it may be told, against the full solver.
+    for seed in range(40):
+        g = seeded_gnp(seed, 8 + seed % 4, (0.3, 0.5, 0.7)[seed % 3])
+        gamma = _grundy_reachable(g)[(1 << g.n) - 1].bit_length() - 1
+        for t in range(g.n + 2):
+            assert _grundy_at_least(g, t) == (t <= gamma), (seed, t)
+        for name, value in (("gamma", gamma), ("chi", chromatic_number(g))):
+            for x in (value - 1, value):
+                assert INVARIANT_STEPS[name](g, x) == value, (seed, name, x)
 
 
 def test_maximal_independent_sets_match_oracle_at_6():
