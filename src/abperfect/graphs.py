@@ -310,8 +310,8 @@ def _refine(g: Graph) -> tuple[list[int], int]:
     return cell, hash(tuple(sorted(signatures)))
 
 
-def _canonical_search(g: Graph, collect: bool) -> tuple[int, list[tuple[int, ...]]]:
-    """Minimum adjacency code and, if ``collect``, automorphisms generating Aut(g).
+def _canonical_search(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Minimum adjacency code and automorphisms generating Aut(g).
 
     The code is the minimum column-major adjacency code over the vertex
     orderings that list the refinement cells in ascending order, an
@@ -338,7 +338,7 @@ def _canonical_search(g: Graph, collect: bool) -> tuple[int, list[tuple[int, ...
                 twins = twin_classes.get(key, 0)
                 before[v] |= twins
                 twin_classes[key] = twins | 1 << v
-            if before[v] and collect:
+            if before[v]:
                 image = list(range(n))
                 u = before[v].bit_length() - 1
                 image[u], image[v] = v, u
@@ -368,7 +368,7 @@ def _canonical_search(g: Graph, collect: bool) -> tuple[int, list[tuple[int, ...
         if depth == n:
             if first is None:
                 first = placed.copy()
-            elif collect:
+            else:
                 image = [0] * n
                 for u, v in zip(first, placed):
                     image[u] = v
@@ -407,46 +407,42 @@ def canonical_form(g: Graph) -> bytes:
     """
     n = g.n
     check_cap("canonical_form", n)
-    code, _ = _canonical_search(g, False)
+    code, _ = _canonical_search(g)
     return bytes([n]) + code.to_bytes((n * (n - 1) // 2 + 7) // 8 or 1, "big")
 
 
 def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Distinct non-identity automorphisms generating Aut(g), as vertex images."""
-    return _canonical_search(g, True)[1]
+    return _canonical_search(g)[1]
 
 
 def _mapping_exists(g1: Graph, g2: Graph, ranks1: list[int], ranks2: dict[int, int]) -> bool:
     """Backtracking search for a bijection from g1 onto the vertices keyed in
     ``ranks2``, mapping each vertex to one of equal rank and preserving
-    adjacency and non-adjacency: whether those vertices induce a copy of g1."""
-    n = g1.n
-    image = [-1] * n
-    used = 0
+    adjacency and non-adjacency: whether those vertices induce a copy of g1.
 
-    def extend(v: int) -> bool:
-        nonlocal used
+    With vertices 0..v-1 of g1 placed on the vertices of ``used``, v may go
+    to an unused w of its rank exactly when w's neighbours among ``used``
+    are the images of v's earlier neighbours.
+    """
+    n = g1.n
+    image = [0] * n
+
+    def extend(v: int, used: int) -> bool:
         if v == n:
             return True
-        row = g1.adj[v]
-        for w, rank in ranks2.items():
-            if used >> w & 1 or ranks1[v] != rank:
-                continue
-            ok = True
-            for u in range(v):
-                if (row >> u & 1) != (g2.adj[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used |= 1 << w
-            if extend(v + 1):
-                return True
-            used &= ~(1 << w)
+        row, rank, want = g1.adj[v], ranks1[v], 0
+        for u in range(v):
+            if row >> u & 1:
+                want |= 1 << image[u]
+        for w, rank_w in ranks2.items():
+            if rank_w == rank and not used >> w & 1 and g2.adj[w] & used == want:
+                image[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
         return False
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -1,44 +1,16 @@
 """Small-graph enumeration and theorem sweep drivers.
 
-Canonical enumeration extends each (n-1)-vertex representative by one
-new vertex with every possible neighborhood and keeps each child that is
-isomorphic to no earlier one.  Every isomorphism class on n vertices
-arises this way: delete any vertex of a member, map the rest onto its
-class representative, and the deleted vertex's neighborhood gives the
-extension mask.  Each class is represented by its first child.  A child
-is refined once by colour refinement and compared, by a cell-preserving
-mapping search, only with the representatives sharing its refinement
-invariant.  Two rules skip children that are never first without
-refining them: a neighborhood that an automorphism of the parent maps
-to an earlier one, and a child with a deletion whose degree multiset
-only parents before its own have, so that an earlier parent already
-produced its class.
-
-A level can be restricted to the classes free of some induced patterns.
-Such a class is hereditary: every deletion of a member is a member.  So
-the restricted level extends only the members one level down, which are
-the full representatives that avoid the patterns, in the same order, and
-drops each child that holds a pattern.  Every member arises from the
-same first (parent, mask) pair as in the full enumeration, so its
-representative and its place in the order are the same.  ``lemma1``
-enumerates only the (P4, C4)-free classes this way.
-
-A table sweep walks those classes bottom-up, and the theorem is one
-check per class over the graph, its solved invariants and its
-ab-perfect flags, run where the class is solved.  The flags are
-hereditary first: a class's one-vertex deletions are read one level
-down, its enumeration parent first, and a pair is solved on the class
-only while every deletion read so far is perfect for it.  One dict per
-level maps a deletion's rows to its flags, seeded with the empty graph's
-all-True flags, so a sweep looks up each deletion at most once, in its
-refinement bucket one level down.
-
-Every theorem id is a stream of rows (graph, details), one per checked
-graph, whose details list its violations (none when it passes): the
-table's classes and then its target's witnesses, or ``lemma2``'s grid.
-``sweep`` alone counts the rows and keeps the first 100 violations.
-Reports are deterministic: identical (elapsed time aside) across runs
-and across worker counts.
+- Enumeration: ``_canonical_level`` builds one level of representatives,
+  one per isomorphism class, indexed by colour refinement, and restricted
+  to a pattern-free class when asked; its docstring gives the argument.
+  ``enumerate_graphs`` is the public entry.
+- The flag table: the comment above ``Pair`` states the definition it
+  evaluates, ``_table_rows`` walks the classes bottom-up and
+  ``_live_pairs`` reads each class's deletions one level down.
+- Sweeps: each theorem id is a stream of rows (graph, details), a
+  ``_Target`` in ``_TARGETS`` or ``lemma2``'s grid; ``sweep`` counts the
+  rows and keeps the first violations.  Reports are identical, elapsed
+  time aside, across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -204,9 +176,11 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     """One representative per class on n vertices free of ``free_of``, indexed by refinement.
 
     ``free_of`` names ``PATTERNS``; with none, the level holds every
-    isomorphism class.  Each class keeps its first child in parent order
-    and then mask order; pruning skips only children that are never
-    first.  Orbit pruning (``_extension_masks``) skips a mask an
+    isomorphism class.  Every class arises as a child: delete any vertex
+    of a member, map the rest onto its representative one level down, and
+    the deleted vertex's neighbourhood is the mask.  Each class keeps its
+    first child in parent order and then mask order; pruning skips only
+    children that are never first.  Orbit pruning (``_extension_masks``) skips a mask an
     automorphism of the parent maps lower; earlier-parent pruning
     (``_produced_earlier``) skips a child with a deletion isomorphic to an
     earlier parent.  Together they leave 1, 2, 4, 11, 34, 174, 1,623 and
@@ -246,19 +220,20 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
 
 
 def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
-    """Stream one graph per isomorphism class on n vertices.
+    """Iterate one graph per isomorphism class on n vertices.
 
     ``free_of`` names patterns of ``forbidden.PATTERNS``; only the classes
-    containing none of them as an induced subgraph are streamed, with the
+    containing none of them as an induced subgraph are listed, with the
     representatives and in the order of the full enumeration.  The
-    patterns are tested in the order given.
+    patterns are tested in the order given.  The arguments are checked
+    when it is called, not when the iterator is first read.
     """
     check_cap("canonical enumeration", n)
     free_of = tuple(free_of)
     unknown = [name for name in free_of if name not in PATTERNS]
     if unknown:
         raise ValueError(f"unknown patterns {unknown}, expected names from {sorted(PATTERNS)}")
-    yield from _canonical_level(n, free_of).graphs
+    return iter(_canonical_level(n, free_of).graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -398,32 +373,23 @@ def _check_eq1_chain(g: Graph, values: dict[str, int], flags: Flags) -> str | No
     return None
 
 
-def _check_theorem4(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
-    omega_psi, chi_psi = flags["omega", "psi"], flags["chi", "psi"]
-    quartet_free = family_check(g, "omega_psi_quartet").free
-    structure = recognize_structure(g).accepted
-    if not omega_psi == chi_psi == quartet_free == structure:
-        return (
-            "equivalence broken: "
-            f"omega_psi={omega_psi} "
-            f"chi_psi={chi_psi} "
-            f"quartet_free={quartet_free} "
-            f"structure={structure}"
-        )
-    return None
+def _equivalence_target(b: str, **facts: Callable[[Graph], bool]) -> _Target:
+    """omega-b-perfect, chi-b-perfect and each of ``facts``, tests of g, coincide.
 
-
-def _equivalence_target(b: str, family: str, label: str) -> _Target:
-    """omega-b-perfect, chi-b-perfect and ``family``-free coincide."""
+    A violation lists every value as ``name=value``, the facts under their
+    keyword names.
+    """
+    pairs = (("omega", b), ("chi", b))
+    names = (f"omega_{b}", f"chi_{b}", *facts)
+    tests = tuple(facts.values())
 
     def check(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
-        p_omega, p_chi = flags["omega", b], flags["chi", b]
-        free = family_check(g, family).free
-        if not p_omega == p_chi == free:
-            return f"omega_{b}={p_omega} chi_{b}={p_chi} {label}_free={free}"
+        seen = (flags[pairs[0]], flags[pairs[1]], *(test(g) for test in tests))
+        if any(seen) and not all(seen):
+            return " ".join(f"{name}={value}" for name, value in zip(names, seen))
         return None
 
-    return _Target(check, pairs=(("omega", b), ("chi", b)))
+    return _Target(check, pairs=pairs)
 
 
 def _check_lemma1(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
@@ -486,9 +452,15 @@ def _sweep_figure3_witnesses() -> Iterator[Row]:
 
 _TARGETS: dict[str, _Target] = {
     "eq1_chain": _Target(_check_eq1_chain, invariants=INVARIANT_CHAIN),
-    "theorem4": _Target(_check_theorem4, pairs=(("omega", "psi"), ("chi", "psi"))),
-    "theorem1_cs": _equivalence_target("gamma", "p4_only", "p4"),
-    "theorem2_cs": _equivalence_target("alpha", "achro_triple", "triple"),
+    "theorem4": _equivalence_target(
+        "psi",
+        quartet_free=lambda g: family_check(g, "omega_psi_quartet").free,
+        structure=lambda g: recognize_structure(g).accepted,
+    ),
+    "theorem1_cs": _equivalence_target("gamma", p4_free=lambda g: family_check(g, "p4_only").free),
+    "theorem2_cs": _equivalence_target(
+        "alpha", triple_free=lambda g: family_check(g, "achro_triple").free
+    ),
     "lemma1": _Target(_check_lemma1, hypothesis=is_connected, free_of=("P4", "C4")),
     "interpolation_hhp": _interpolation_target("proper_complete", "proper complete", "alpha"),
     "interpolation_grundy": _interpolation_target("grundy", "Grundy", "gamma"),

@@ -1,40 +1,13 @@
 """ab-perfectness checking and the structural recognizer.
 
-A graph is ab-perfect for two invariants a <= b (in the universal chain
-omega, chi, gamma, alpha, psi) when a(H) = b(H) on every induced
-subgraph H; the checker solves a and b with the solvers of the invariant
-table ``solvers.INVARIANT_SOLVERS``.  It scans subsets in increasing size
-then lexicographic order, so the first violation it reports is minimal:
-every strictly smaller subset has already passed.  Each size is a level
-list of vertex bitmasks in that order, at most C(10, 5) = 252, and
-three lists of 2^n ints indexed by vertex bitmask (1,024 each at the cap
-of 10, 24 KiB of list slots) keep each scanned subset's common value, its
-last vertex's relabelled row and its relabelled upper triangle as one int.
-A subset's triangle code is read off those of its deletions one size
-down, so a subset whose code the memo already holds costs O(1).  Many
-subsets induce the same relabelled subgraph, so each size keeps a memo
-from that code to the common value a(H) = b(H), at most 252 entries,
-dropped when the next size starts: every distinct labelled subgraph is
-solved at most once.  A full scan at the cap peaks at about 65 KiB.
-
-Most subsets need no solve at all.  Each of the five invariants obeys the
-deletion sandwich a(H - v) <= a(H) <= a(H - v) + 1, proved from the
-definitions alone in ROADMAP item 3; it is none of the theorems that the
-sweeps verify.  When the scan reaches a subset S, every deletion S - u has
-passed with a = b = x_u, so a(S) and b(S) both lie in [max x_u,
-min x_u + 1]: when the deletions' values differ, that interval is one
-value and a(S) = b(S) = max x_u with no solve.  When they all equal x,
-each of a(S) and b(S) is x or x + 1, and one step of the table
-``solvers.INVARIANT_STEPS`` settles it: gamma by one exact decision
-"a Grundy coloring with >= x + 1 colors?" in place of the full Grundy
-memo, chi by one proper-coloring search with x colors, and omega, alpha
-and psi by their full solves.
-
-The recognizer decides the structural characterization of the
-omega-psi-perfect graphs: a connected one is a complete graph or the
-join of a complete graph with a disconnected graph whose components are
-an empty part, two non-trivial complete graphs (plus isolated vertices),
-or a single non-trivial part of the same recursive shape.
+``is_ab_perfect`` decides a(H) = b(H) on every induced subgraph H by one
+subset scan whose first violation is minimal.  Its docstring gives the
+scan's tables, its memo and the deletion sandwich, proved in ROADMAP item
+3, that settles most subsets with no solve or with one step of
+``solvers.INVARIANT_STEPS``.  ``recognize_structure`` decides the
+recursive shape of the omega-psi-perfect graphs, and
+``decompose_trivially_perfect`` the quasi-threshold one; ``StructureTree``
+lists the node kinds of both.
 """
 
 from __future__ import annotations
@@ -251,6 +224,11 @@ def _peel(
 
 def recognize_structure(g: Graph) -> StructureTree:
     """Decide the recursive shape of the omega-psi-perfect characterization.
+
+    A connected graph has the shape when it is complete, or the join of a
+    complete graph with a disconnected graph whose components are an
+    empty part, two non-trivial complete graphs (plus isolated vertices),
+    or a single non-trivial part of the same recursive shape.
 
     Rejection is a value (a "rejected" node at the failing position), not
     an error; polynomial, so no size cap beyond the graph capacity.

@@ -1,45 +1,15 @@
 """Exact solvers for the five coloring invariants of small graphs.
 
-clique number      -- branch and bound over adjacency bitsets
-chromatic number   -- iterative deepening k-colorability from the clique bound
-Grundy number      -- memoized peeling of maximal independent sets, each
-                      vertex mask's feasible color counts kept as one bitmask;
-                      deciding gamma >= t walks the same peeling depth-first,
-                      keeping only refutations, with a degree cut t <= Delta + 1
-achromatic and pseudoachromatic numbers
-                   -- backtracking over canonically-ordered set partitions
-                      with an edge bound: uncovered color pairs vs. the
-                      edges between unplaced vertices plus, per unplaced
-                      vertex, the colors on its placed neighbors;
-                      unopened colors: r colors no placed vertex has
-                      need r(r-1)/2 edges between unplaced vertices;
-                      class claims: each unopened color, and each opened
-                      color c missing more partners than the unplaced
-                      vertices next to a c-vertex (each takes one color,
-                      so meets one missing partner), claims its own
-                      unplaced vertex, and the classes are disjoint;
-                      a degree cover per k: each class holds a vertex of
-                      degree >= k-1 or >= 2 vertices whose degrees sum
-                      to >= k-1, since it meets the other k-1 classes
-                      and a vertex meets at most deg(v) of them
-
-``INVARIANT_SOLVERS`` is the invariant table: it maps each invariant's name
-to its solver in chain order, and ``INVARIANT_CHAIN`` is its keys.  The
-sweeps and ``profile`` read it.  The ab-perfectness scan reads
-``INVARIANT_STEPS``, one step per invariant that returns its value on a
-graph where the value is known to be x or x + 1.  Whether a
-coloring of one mode with exactly k colors exists is one per-graph test,
-``_colorable``, asked by ``has_coloring`` and the interpolation sweeps.
-
-Every cap in ``graphs.CAPS`` is a hard error, never a silent fallback: an
-approximate answer would poison the theorem sweeps built on these solvers.
-Search order is fixed so witnesses are deterministic: the chromatic search takes
-vertices ascending, the complete-coloring search takes them by descending
-degree with ties broken by label, both try colors ascending, and the
-Grundy search lists maximal independent sets from one Bron-Kerbosch that
-pivots on the first vertex of p|x with the most candidates and tries the
-other candidates in ascending bit order.  Complete colorings come back in
-vertex labels with colors numbered by first occurrence.
+Each search and its prunes are described where they are written:
+``clique_number`` (branch and bound), ``chromatic_number`` (by
+``_proper_k_coloring``, upward from the clique bound), ``grundy_number``
+(by the peeling memo ``_grundy_reachable``; ``_grundy_at_least`` decides
+gamma >= t) and the achromatic and pseudoachromatic numbers (by
+``_complete_partition`` over one ``_plan``).  ``INVARIANT_SOLVERS`` is the
+invariant table in chain order, ``INVARIANT_STEPS`` the subset scan's
+steps, and ``_colorable`` the one per-graph k-coloring test.  Caps are
+hard errors, never approximations, and every search order is fixed, so
+witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -353,8 +323,8 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     smaller ones, which breaks the k! color symmetry.  Returns 0-based
     colors by vertex, the search's one per-vertex state: an entry is written
     when its vertex is placed and read only by neighbors placed later, so
-    backtracking leaves it.  None at once when k > n, k(k-1)/2 > |E| or
-    the degree cover below fails.  Prunes on: properness, the class claims,
+    backtracking leaves it.  None at once when k(k-1)/2 > |E| or the
+    degree cover below fails.  Prunes on: properness, the class claims,
     the edge bound and the unopened colors below.  Each prune, and each
     refusal, cuts only subtrees holding no complete k-coloring, proper or
     not, so the first one found does not depend on them.
@@ -392,7 +362,7 @@ def _complete_partition(plan: _Plan, k: int, proper: bool) -> list[int] | None:
     """
     order, back, ahead, inner, unplaced, degrees = plan
     n = len(order)
-    if k > n or k * (k - 1) // 2 > inner[0]:
+    if k * (k - 1) // 2 > inner[0]:  # every k > n: k(k-1)/2 > n(n-1)/2 >= |E|
         return None
     if degrees[k - 1] < k - 1:  # fewer than k vertices of degree >= k-1; never at k = 1
         low = [d for d in degrees if d < k - 1]

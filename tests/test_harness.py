@@ -72,6 +72,13 @@ def test_enumeration_caps_and_modes():
         next(enumerate_graphs(9, ("P4", "C4")))
     with pytest.raises(ValueError, match="unknown patterns"):
         next(enumerate_graphs(4, ("P4", "K5")))
+    # The checks run at the call, before anything is read.
+    with pytest.raises(CapacityError):
+        enumerate_graphs(9)
+    with pytest.raises(CapacityError):
+        enumerate_graphs(0, ("P4",))
+    with pytest.raises(ValueError, match="unknown patterns"):
+        enumerate_graphs(4, ("P4", "K5"))
 
 
 def test_enumeration_is_deterministic():
@@ -676,8 +683,7 @@ def test_table_sweeps_do_not_assume_the_theorem(monkeypatch):
     theorem4 = sweep("theorem4", 5)
     figure3 = sweep("figure3_inclusions", 5)
     assert any(
-        detail == "equivalence broken: omega_psi=True chi_psi=True "
-        "quartet_free=False structure=False"
+        detail == "omega_psi=True chi_psi=True quartet_free=False structure=False"
         for _, detail in theorem4.violations
     )
     assert any(

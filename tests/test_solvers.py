@@ -45,9 +45,11 @@ from abperfect.solvers import (
     _MODE_SOLVERS,
     INVARIANT_STEPS,
     _colorable,
+    _complete_partition,
     _grundy_at_least,
     _grundy_reachable,
     _maximal_independent_sets,
+    _plan,
 )
 from oracles import (
     brute_chromatic,
@@ -182,6 +184,15 @@ def test_complete_counts_match_oracle_on_complete_bipartite():
     for (a, b), psi in (((4, 8), 5), ((6, 6), 7)):
         g = complete_bipartite(a, b)
         assert (achromatic_number(g), pseudoachromatic_number(g)) == (2, psi), (a, b)
+
+
+def test_complete_partition_refuses_more_classes_than_vertices():
+    # The search has no k > n test of its own: the edge count refuses such k,
+    # since k(k-1)/2 > n(n-1)/2 >= |E|, with equality on K_n.  Both modes.
+    for g in [complete_graph(n) for n in range(1, 9)] + list(small_classes(6)):
+        plan = _plan(g)
+        for k, proper in product((g.n + 1, g.n + 2), (False, True)):
+            assert _complete_partition(plan, k, proper) is None, (to_graph6(g), k, proper)
 
 
 def test_grundy_counts_match_oracle_at_6():
