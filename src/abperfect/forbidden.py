@@ -16,8 +16,8 @@ from typing import Iterator
 
 from .graphs import (
     Graph,
+    _degree_code,
     _mapping_exists,
-    bits,
     check_cap,
     complement,
     complete_graph,
@@ -25,11 +25,6 @@ from .graphs import (
     disjoint_union,
     path_graph,
 )
-
-
-def _degree_code(adj: tuple[int, ...], mask: int) -> int:
-    """Sum of 16^deg over the vertices of ``mask``, degrees counted within it."""
-    return sum(1 << 4 * (adj[v] & mask).bit_count() for v in bits(mask))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _degree_code(adj: Sequence[int], mask: int) -> int:
+    """Sum of 16^deg over the vertices of ``mask``, degrees counted within it."""
+    return sum(1 << 4 * (adj[v] & mask).bit_count() for v in bits(mask))
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, adjacency as bitmasks.

@@ -29,6 +29,7 @@ from .graphs import (
     CapacityError,
     Graph,
     _automorphisms,
+    _degree_code,
     _mapping_exists,
     _refine,
     _trusted,
@@ -70,17 +71,12 @@ def _extension_masks(parent: Graph) -> list[int]:
     return [mask for mask in masks if all(image[mask] >= mask for image in images)]
 
 
-def _degree_weights(rows: tuple[int, ...]) -> list[int]:
-    """16^deg(v) for each vertex v: their sum codes the degree multiset."""
-    return [1 << 4 * row.bit_count() for row in rows]
-
-
 def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -> bool:
     """Whether the child g with these rows, built from parent ``index``, is never first.
 
-    ``last`` maps each degree code, the sum of ``_degree_weights``, to the
-    largest index of a representative one level down with that code.  The code of g - v is
-    g's code less 16^deg(v) and, for each neighbour u of v,
+    ``last`` maps each degree code (``graphs._degree_code``) to the largest
+    index of a representative one level down with that code.  The code of
+    g - v is g's code less 16^deg(v) and, for each neighbour u of v,
     16^deg(u) - 16^(deg(u)-1).  When every representative with that code
     comes before ``index``, g - v is isomorphic to an earlier parent, and
     that parent, extended by every mask, has a child isomorphic to g
@@ -93,7 +89,7 @@ def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -
     to a hereditary class it means g - v is outside the class, so g is
     outside it too and is skipped as well.
     """
-    weights = _degree_weights(rows)
+    weights = [1 << 4 * row.bit_count() for row in rows]
     code = sum(weights)
     drops = [weight - (weight >> 4) for weight in weights]
     for v in range(len(rows) - 1):
@@ -160,8 +156,8 @@ def _children(n: int, free_of: tuple[str, ...]) -> Iterator[Graph]:
         yield empty_graph(1)
         return
     parents = _canonical_level(n - 1, free_of).graphs
-    last = {sum(_degree_weights(parent.adj)): i for i, parent in enumerate(parents)}
     new = 1 << (n - 1)
+    last = {_degree_code(parent.adj, new - 1): i for i, parent in enumerate(parents)}
     for i, parent in enumerate(parents):
         base = parent.adj
         for mask in _extension_masks(parent):

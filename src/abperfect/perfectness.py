@@ -2,12 +2,12 @@
 
 ``is_ab_perfect`` decides a(H) = b(H) on every induced subgraph H by one
 subset scan whose first violation is minimal.  Its docstring gives the
-scan's tables, its memo and the deletion sandwich, proved in ROADMAP item
-3, that settles most subsets with no solve or with one step of
-``solvers.INVARIANT_STEPS``.  ``recognize_structure`` decides the
-recursive shape of the omega-psi-perfect graphs, and
-``decompose_trivially_perfect`` the quasi-threshold one; ``StructureTree``
-lists the node kinds of both.
+scan's one list of triangle codes, its per-size memos and the deletion
+sandwich, proved in ROADMAP item 3, that settles most subsets with no
+solve or with one step of ``solvers.INVARIANT_STEPS``.
+``recognize_structure`` decides the recursive shape of the
+omega-psi-perfect graphs, and ``decompose_trivially_perfect`` the
+quasi-threshold one; ``StructureTree`` lists the node kinds of both.
 """
 
 from __future__ import annotations
@@ -62,30 +62,31 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     is a level list of vertex bitmasks in lex order, at most
     C(10, 5) = 252 of them: extending each mask by every u above its last
     vertex, its top bit, gives the next size in the order of
-    ``combinations``.  Three lists of 2^n ints, indexed by vertex bitmask,
-    hold what a subset S passes on: ``value[S]``, its common value a = b;
-    ``own[S]``, its last vertex's row relabelled to S's order, as
-    ``induced_subgraph`` relabels; and ``code[S]``, its relabelled upper
-    triangle, row j's j low bits at offset j(j-1)/2.  For S = P + u of
-    size k, with P = P' + p, u's row is ``own[P' + u]``, stored one size
-    down for the deletion S - p, with bit k-2 set when u is adjacent to p;
-    ``code[S]`` is ``code[P]`` with that row at offset (k-1)(k-2)/2.  The
-    code determines the labelled subgraph, and the solvers are functions of
-    the adjacency alone, so each size memoizes a = b on it: each distinct
-    labelled subgraph is solved at most once, and a memo hit costs O(1).
+    ``combinations``.  One list of 2^n ints, indexed by vertex bitmask,
+    holds what a subset S passes on: ``code[S]``, its upper triangle
+    relabelled to S's order, as ``induced_subgraph`` relabels, row j's j
+    low bits at offset j(j-1)/2.  For S = P + u of size k, with P = P' + p,
+    u's row is the top row of ``code[P' + u]``, at offset (k-2)(k-3)/2
+    one size down in the deletion S - p, with bit k-2 set when u is
+    adjacent to p; ``code[S]`` is ``code[P]`` with that row at offset
+    (k-1)(k-2)/2.  The code determines the labelled subgraph, and the
+    solvers are functions of the adjacency alone, so each size memoizes
+    a = b on it in a dict from code to value: each distinct labelled
+    subgraph is solved at most once, a memo hit costs O(1), and a
+    subset's value is its size's memo entry for its code.
 
     On a memo miss the deletions decide first.  Every subset one size
-    smaller has passed, so each deletion S - u gives
-    x_u = a(S - u) = b(S - u) = ``value[S - u]``.  The deletion sandwich
-    (ROADMAP item 3) puts a(S) and b(S) in [max x_u, min x_u + 1]; when
-    the x_u differ, both equal max x_u, which the memo records with no
-    solve.  When they all equal x, S is unforced: its members, read from
-    ``graphs._MEMBERS``, already sorted, induce h, and the step
-    ``INVARIANT_STEPS[name](h, x)`` of each invariant returns its value,
-    knowing it is x or x + 1; gamma's and chi's steps are one decision
-    each.  Every step is exact, so a forced subset never disagrees, and
-    the counterexample, always an unforced subset, and its values are
-    those of the full scan.
+    smaller has passed, so each deletion S - u gives x_u = a(S - u) =
+    b(S - u), the previous size's memo entry for ``code[S - u]``.  The
+    deletion sandwich (ROADMAP item 3) puts a(S) and b(S) in
+    [max x_u, min x_u + 1]; when the x_u differ, both equal max x_u,
+    which the memo records with no solve.  When they all equal x, S is
+    unforced: its members, read from ``graphs._MEMBERS``, already sorted,
+    induce h, and the step ``INVARIANT_STEPS[name](h, x)`` of each
+    invariant returns its value, knowing it is x or x + 1; gamma's and
+    chi's steps are one decision each.  Every step is exact, so a forced
+    subset never disagrees, and the counterexample, always an unforced
+    subset, and its values are those of the full scan.
     """
     if a not in INVARIANT_CHAIN or b not in INVARIANT_CHAIN:
         raise ValueError(f"invariants must be among {INVARIANT_CHAIN}")
@@ -97,12 +98,12 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
     step_a = INVARIANT_STEPS[a]
     step_b = INVARIANT_STEPS[b]
     n, adj = g.n, g.adj
-    value = [0] * (1 << n)
-    own = [0] * (1 << n)
     code = [0] * (1 << n)
     level = [0]
+    below = {0: 0}  # the previous size's memo: here the empty set, of value 0
     for size in range(1, n + 1):
         top = 1 << size >> 2  # 1 << (size - 2): the prefix's last vertex in u's row
+        shift = (size - 2) * (size - 3) // 2  # the top row's offset one size down
         offset = (size - 1) * (size - 2) // 2
         solved: dict[int, int] = {}
         next_level = []
@@ -117,12 +118,11 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
             for u in range(last + 1, n):
                 bit = 1 << u
                 mask = prefix | bit
-                row = own[rest | bit] | link >> u & top
+                row = code[rest | bit] >> shift | link >> u & top
                 key = base | row << offset
-                x = solved.get(key)
-                if x is None:
+                if key not in solved:
                     members = _MEMBERS[mask]
-                    deletions = [value[mask ^ 1 << v] for v in members]
+                    deletions = [below[code[mask ^ 1 << v]] for v in members]
                     x = max(deletions)
                     if x == min(deletions):
                         h = _induced(g, members)
@@ -133,11 +133,9 @@ def is_ab_perfect(g: Graph, a: str, b: str) -> PerfectnessVerdict:
                             )
                         x = a_val
                     solved[key] = x
-                value[mask] = x
-                own[mask] = row
                 code[mask] = key
                 next_level.append(mask)
-        level = next_level
+        level, below = next_level, solved
     return PerfectnessVerdict((a, b), True, None)
 
 

@@ -36,6 +36,7 @@ from abperfect import (
 )
 from abperfect import harness, solvers
 from abperfect.forbidden import PATTERNS
+from abperfect.graphs import _degree_code
 from oracles import (
     brute_complete_counts,
     brute_contains_induced,
@@ -117,7 +118,7 @@ def test_earlier_parent_pruning_skips_only_children_an_earlier_parent_produced()
     for n in range(2, 8):
         below = harness._canonical_level(n - 1, ()).graphs
         index = {canonical_form(p): j for j, p in enumerate(below)}
-        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below)}
+        last = {_degree_code(p.adj, (1 << p.n) - 1): j for j, p in enumerate(below)}
         for i, parent in enumerate(below):
             for mask in harness._extension_masks(parent):
                 rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
@@ -242,7 +243,7 @@ def test_restricted_pruning_skips_only_children_outside_or_produced_earlier():
     for n in range(2, 9):
         below = harness._canonical_level(n - 1, free_of).graphs
         index = {canonical_form(p): j for j, p in enumerate(below)}
-        last = {sum(harness._degree_weights(p.adj)): j for j, p in enumerate(below)}
+        last = {_degree_code(p.adj, (1 << p.n) - 1): j for j, p in enumerate(below)}
         for i, parent in enumerate(below):
             for mask in harness._extension_masks(parent):
                 rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]

@@ -1,6 +1,7 @@
 """ab-perfectness verdicts, the structure recognizer, and the equivalence."""
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -233,6 +234,21 @@ def test_scan_reads_members_for_every_mask_up_to_its_cap():
     # refinement builds for its own cap; both caps must cover 10 vertices.
     assert len(_MEMBERS) >= 1 << CAPS["is_ab_perfect"]
     assert all(_MEMBERS[mask] == tuple(bits(mask)) for mask in range(len(_MEMBERS)))
+
+
+def test_scan_keeps_one_table_at_its_cap():
+    # K10 omega-psi visits all 1,023 subsets.  One list of 2^10 triangle
+    # codes and the per-size memos peak at 41-48 KiB on Python 3.10-3.13;
+    # a second list of 2^10 ints adds 8 KiB of slots alone.
+    g = complete_graph(10)
+    is_ab_perfect(g, "omega", "psi")  # warm-up: module-level caches fill here
+    tracemalloc.start()
+    try:
+        assert is_ab_perfect(g, "omega", "psi").perfect
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 52 * 1024
 
 
 def test_scan_rows_match_induced_subgraph(monkeypatch):
