@@ -228,6 +228,10 @@ def test_maximal_independent_sets_match_oracle_at_6():
             assert set(found) == brute_maximal_independent_sets(g, mask), (to_graph6(g), mask)
 
 
+# The G(n, p) cells of the 9-12 vertex pins: n and p, seeded by position.
+_WITNESS_CELLS = [(n, q) for n in (9, 10, 11, 12) for q in (0.2, 0.35, 0.5, 0.7)] * 3
+
+
 def test_alpha_psi_values_are_frozen():
     # SHA-256 of "alpha psi" per class over enumerate_graphs(1..7), in
     # enumeration order (pinned by test_enumeration_stream_is_frozen); the
@@ -236,6 +240,28 @@ def test_alpha_psi_values_are_frozen():
     for g in small_classes(7):
         digest.update(f"{achromatic_number(g)} {pseudoachromatic_number(g)}\n".encode())
     assert digest.hexdigest() == "64268daa055436f73a3295acbcefeb859144a0f4e3645578ce66dae2d9b10124"
+
+
+def test_alpha_psi_values_are_frozen_on_9_to_12_vertices():
+    # SHA-256 of "alpha psi" per G(n, p) graph of the witness pin below; the
+    # value was recorded before the search's color order changed, so it
+    # holds whichever witness the search returns first.
+    digest = hashlib.sha256()
+    for seed, (n, q) in enumerate(_WITNESS_CELLS):
+        g = seeded_gnp(seed, n, q)
+        digest.update(f"{achromatic_number(g)} {pseudoachromatic_number(g)}\n".encode())
+    assert digest.hexdigest() == "1dca3c7c3835c5d27a6005af63693a09106b3b3c5ab3be5fef0f60f141aa0b1b"
+
+
+@pytest.mark.slow
+def test_alpha_psi_values_are_frozen_at_8():
+    # SHA-256 of "alpha psi" per class over the 12,346 classes of
+    # enumerate_graphs(8), in enumeration order; the value was recorded
+    # before the search's color order changed.
+    digest = hashlib.sha256()
+    for g in enumerate_graphs(8):
+        digest.update(f"{achromatic_number(g)} {pseudoachromatic_number(g)}\n".encode())
+    assert digest.hexdigest() == "bb398ab019bd134ad36becfdfce0616b253227e435d9b9ad2458434431af7c5d"
 
 
 def test_alpha_psi_witnesses_are_frozen():
@@ -255,8 +281,7 @@ def test_alpha_psi_witnesses_are_frozen_on_9_to_12_vertices():
     # vertices, where the class claims cut most; the value was recorded
     # before the search gained the class claims and the degree cover.
     digest = hashlib.sha256()
-    cells = [(n, q) for n in (9, 10, 11, 12) for q in (0.2, 0.35, 0.5, 0.7)] * 3
-    for seed, (n, q) in enumerate(cells):
+    for seed, (n, q) in enumerate(_WITNESS_CELLS):
         g = seeded_gnp(seed, n, q)
         a, aw = achromatic_number(g, witness=True)
         p, pw = pseudoachromatic_number(g, witness=True)
