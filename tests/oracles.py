@@ -4,12 +4,15 @@ These deliberately avoid the package's search code: partitions are
 enumerated in full, orderings exhaustively, graph6 is re-decoded through
 a string-of-bits route, and isomorphism-class counts come from the cycle
 index of the symmetric group.  Agreement between these and the solvers
-is the backbone of the suite.  Two exceptions reuse package code for
+is the backbone of the suite.  Three exceptions reuse package code for
 one layer each.  ``unpruned_levels`` keeps the enumeration loop that
 predates orbit pruning: it uses ``canonical_form`` as its key and is the
 reference for the pruning only.  ``reference_scan`` keeps the subset scan
 of ``is_ab_perfect`` without its memo: it calls the package's solvers on
-every subset and is the reference for the memo only.  The module also
+every subset and is the reference for the memo only.
+``first_complete_coloring`` walks in the complete-coloring search's vertex
+order, read from ``_plan``, and is the reference for its prunes only.  The
+module also
 holds the input helpers the test modules share, ``small_classes`` and
 ``seeded_gnp``.
 """
@@ -32,7 +35,7 @@ from abperfect import (
     is_complete_coloring,
     is_proper,
 )
-from abperfect.solvers import INVARIANT_SOLVERS
+from abperfect.solvers import INVARIANT_SOLVERS, _plan
 
 
 def small_classes(n_max):
@@ -80,6 +83,30 @@ def brute_complete_counts(g: Graph) -> tuple[set[int], set[int]]:
             if is_proper(g, c):
                 proper.add(len(partition))
     return complete, proper
+
+
+def first_complete_coloring(g: Graph, k: int, proper: bool) -> list[int] | None:
+    """The first complete coloring, proper when asked, with exactly k classes,
+    in the complete-coloring search's order, with no prune.
+
+    Vertices are placed in ``_plan(g).order``.  A color may open only after
+    all smaller ones, and colors are tried newest first: the unopened one,
+    then the opened ones from the most recent down.  Every assignment is
+    walked to its end and tested there.  Returns 0-based colors by vertex.
+    """
+    order, color = _plan(g).order, [0] * g.n
+
+    def walk(i: int, used: int) -> bool:
+        if i == g.n:
+            c = Coloring(tuple(x + 1 for x in color))
+            return used == k and is_complete_coloring(g, c) and (not proper or is_proper(g, c))
+        for c in range(min(used, k - 1), -1, -1):
+            color[order[i]] = c
+            if walk(i + 1, max(used, c + 1)):
+                return True
+        return False
+
+    return color if walk(0, 0) else None
 
 
 def first_fit_along(g: Graph, order) -> int:

@@ -58,6 +58,7 @@ from oracles import (
     brute_grundy,
     brute_grundy_counts,
     brute_maximal_independent_sets,
+    first_complete_coloring,
     labeled_graphs,
     random_labeled_graphs,
     seeded_gnp,
@@ -186,6 +187,18 @@ def test_complete_counts_match_oracle_on_complete_bipartite():
         assert (achromatic_number(g), pseudoachromatic_number(g)) == (2, psi), (a, b)
 
 
+def test_complete_partition_returns_the_first_solution_in_its_order():
+    # The witness of every k in both modes is the first complete k-coloring
+    # of an unpruned walk in the same order, so no prune or refusal cuts a
+    # solution that comes earlier; the counts tests above check only that
+    # some solution survives.  2,334 cases on every class up to 6 vertices.
+    for g in small_classes(6):
+        plan = _plan(g)
+        for k, proper in product(range(1, g.n + 1), (False, True)):
+            expected = first_complete_coloring(g, k, proper)
+            assert _complete_partition(plan, k, proper) == expected, (to_graph6(g), k, proper)
+
+
 def test_complete_partition_refuses_more_classes_than_vertices():
     # The search has no k > n test of its own: the edge count refuses such k,
     # since k(k-1)/2 > n(n-1)/2 >= |E|, with equality on K_n.  Both modes.
@@ -264,42 +277,46 @@ def test_alpha_psi_values_are_frozen_at_8():
     assert digest.hexdigest() == "bb398ab019bd134ad36becfdfce0616b253227e435d9b9ad2458434431af7c5d"
 
 
+def _checked_witness_line(g) -> str:
+    """"alpha witness psi witness" for g, each witness checked first: it has
+    as many classes as its value and is complete, and alpha's is proper."""
+    a, aw = achromatic_number(g, witness=True)
+    p, pw = pseudoachromatic_number(g, witness=True)
+    assert aw.k == a and is_complete_coloring(g, aw) and is_proper(g, aw), to_graph6(g)
+    assert pw.k == p and is_complete_coloring(g, pw), to_graph6(g)
+    return f"{a} {aw.colors} {p} {pw.colors}\n"
+
+
 def test_alpha_psi_witnesses_are_frozen():
     # SHA-256 of "alpha witness psi witness" per class over
     # enumerate_graphs(1..7), in enumeration order; the value was recorded
-    # before the complete-coloring search moved to one color per vertex.
+    # when the complete-coloring search began trying colors newest first.
     digest = hashlib.sha256()
     for g in small_classes(7):
-        a, aw = achromatic_number(g, witness=True)
-        p, pw = pseudoachromatic_number(g, witness=True)
-        digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
-    assert digest.hexdigest() == "ed36468af3aa6334aa4185338020b4a2c6ef663ac75ec91e1844a766bbd6d4f3"
+        digest.update(_checked_witness_line(g).encode())
+    assert digest.hexdigest() == "7dd254f3e267921e80b91193e61c405badcf0121d201f06f16e0ac71ef250562"
 
 
 def test_alpha_psi_witnesses_are_frozen_on_9_to_12_vertices():
     # SHA-256 of "alpha witness psi witness" per G(n, p) graph on 9-12
     # vertices, where the class claims cut most; the value was recorded
-    # before the search gained the class claims and the degree cover.
+    # when the search began trying colors newest first.
     digest = hashlib.sha256()
     for seed, (n, q) in enumerate(_WITNESS_CELLS):
         g = seeded_gnp(seed, n, q)
-        a, aw = achromatic_number(g, witness=True)
-        p, pw = pseudoachromatic_number(g, witness=True)
-        digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
-    assert digest.hexdigest() == "2ecbea32e343760c6727e3dddd6b8c42e2429b0f139480e75b596dfe3a009b65"
+        digest.update(_checked_witness_line(g).encode())
+    assert digest.hexdigest() == "26749a22f9dae6c2fce72619cc992107117fb76b5317b81248de3faa8a2fdbec"
 
 
 @pytest.mark.slow
 def test_alpha_psi_witnesses_are_frozen_at_8():
     # SHA-256 of "alpha witness psi witness" per class over the 12,346
     # classes of enumerate_graphs(8), in enumeration order; the value was
-    # recorded before the search gained the unopened-color cut.
+    # recorded when the search began trying colors newest first.
     digest = hashlib.sha256()
     for g in enumerate_graphs(8):
-        a, aw = achromatic_number(g, witness=True)
-        p, pw = pseudoachromatic_number(g, witness=True)
-        digest.update(f"{a} {aw.colors} {p} {pw.colors}\n".encode())
-    assert digest.hexdigest() == "568b7d560d6870a9a04647b4395329ad992039bd3b7d0786c93f14be37019d32"
+        digest.update(_checked_witness_line(g).encode())
+    assert digest.hexdigest() == "6fb36108ec6d461ba189c56c97c047886bc8d34765d7dd566ca52b0eeb223203"
 
 
 def test_grundy_values_witnesses_and_counts_are_frozen():
