@@ -11,10 +11,9 @@ reference for the pruning only.  ``reference_scan`` keeps the subset scan
 of ``is_ab_perfect`` without its memo: it calls the package's solvers on
 every subset and is the reference for the memo only.
 ``first_complete_coloring`` walks in the complete-coloring search's vertex
-order, read from ``_plan``, and is the reference for its prunes only.  The
-module also
-holds the input helpers the test modules share, ``small_classes`` and
-``seeded_gnp``.
+order, read from ``_plan``, and is the reference for its prunes only.
+The module also holds the input helpers the test modules share,
+``small_classes`` and ``seeded_gnp``.
 """
 
 from __future__ import annotations
