@@ -95,19 +95,37 @@ def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
     j vertices carries its mask and its degree code, the sum of 16^deg over
     its induced degrees (a hex digit per degree; with at most 10 vertices
     no digit overflows, so the code is the degree multiset), and goes on
-    only while the code is in ``pattern.codes[j]``.  The cut is sound:
-    each j-subset of a copy of the pattern induces a j-vertex induced
-    subgraph of it, so a cut prefix extends to no copy.  The walk thus
-    meets every hitting k-subset in the order an uncut scan would, and its
-    first hit is the lexicographically smallest.  Equal degree codes do not
-    mean isomorphic (C6 and 2K3), so a full k-subset is decided by a
-    degree-ranked backtracking search for an isomorphism onto the pattern.
+    only while the code is in ``pattern.codes[j]``.  The cut is sound in
+    any vertex order: each j-subset of a copy of the pattern induces a
+    j-vertex induced subgraph of it, so a cut prefix extends to no copy.
+    The walk thus meets every hitting k-subset in the order an uncut scan
+    would, and its first hit is the lexicographically smallest.  Equal
+    degree codes do not mean isomorphic (C6 and 2K3), so a full k-subset
+    is decided by a degree-ranked backtracking search for an isomorphism
+    onto the pattern.
+
+    The enumeration asks ``_copy_through`` instead, the same walk started
+    from one placed vertex.
+    """
+    return _copy_through(g, pattern, None)
+
+
+def _copy_through(g: Graph, pattern: Pattern, first: int | None) -> frozenset[int] | None:
+    """The walk of ``contains_induced``, restricted to the copies holding ``first``.
+
+    ``first`` is placed before the walk starts and the other host vertices
+    follow in ascending order, so the first hit is the lexicographically
+    smallest k-subset holding ``first`` that induces the pattern.  With
+    ``first`` None, every k-subset is walked.  A child one level up from a
+    pattern-free parent holds a copy only through its new vertex, so a
+    restricted level tests that vertex alone (``harness._canonical_level``).
     """
     p = pattern.graph
-    k, n = p.n, g.n
+    k = p.n
     adj, codes = g.adj, pattern.codes
     degrees = [row.bit_count() for row in p.adj]
-    chosen: list[int] = []
+    chosen, skip = ([], -1) if first is None else ([first], first)
+    stop = g.n - k + 1
 
     def extend(start: int, mask: int, code: int) -> bool:
         depth = len(chosen)
@@ -115,7 +133,13 @@ def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
             ranks = {v: (adj[v] & mask).bit_count() for v in chosen}
             return _mapping_exists(p, g, degrees, ranks)
         allowed = codes[depth + 1]
-        for v in range(start, n - k + depth + 1):
+        # v must leave k - depth - 1 unplaced vertices after it.  A placed
+        # vertex at or past the last candidate lies after every candidate
+        # and is not one of them, so the range ends one sooner.
+        end = stop + depth
+        for v in range(start, end - (skip >= end - 1)):
+            if v == skip:
+                continue
             # v adds 16^deg(v) and lifts each neighbour u from 16^d to 16^(d+1).
             row = adj[v] & mask
             grown = code + (1 << 4 * row.bit_count())
@@ -129,7 +153,9 @@ def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
                 chosen.pop()
         return False
 
-    return frozenset(chosen) if extend(0, 0, 0) else None
+    # A placed vertex alone has degree 0, so its code is 16^0 = 1.
+    found = extend(0, 0 if first is None else 1 << first, len(chosen))
+    return frozenset(chosen) if found else None
 
 
 def _scan_order(g: Graph, family: str) -> Iterator[Pattern]:

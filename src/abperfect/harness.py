@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .forbidden import PATTERNS, contains_induced, family_check
+from .forbidden import PATTERNS, _copy_through, family_check
 from .graph6 import to_graph6
 from .graphs import (
     CAPS,
@@ -51,57 +51,75 @@ VIOLATION_LIMIT = 100
 
 
 def _extension_masks(parent: Graph) -> list[int]:
-    """Neighbourhoods of the new vertex whose child can be first of its class.
+    """Neighbourhoods of the new vertex whose child can be first of its class, ascending.
 
     A mask that an automorphism of the parent maps to a smaller mask gives
     a child isomorphic to an earlier child of the same parent, so it is
     skipped.  Any set of automorphisms prunes exactly; the generators from
     the parent's canonical search (at most 13 per parent up to 7 vertices)
     leave 79,264 children at level 8, the rooted graphs on 8 vertices,
-    against 133,632 unpruned.
+    against 133,632 unpruned.  Each generator filters the masks that the
+    ones before it kept, so a mask is kept when no generator lowers it.
     """
     masks = range(1 << parent.n)
-    images = []
+    kept = list(masks)
     for sigma in _automorphisms(parent):
         image = [0] * len(masks)
         for mask in masks[1:]:
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
-        images.append(image)
-    return [mask for mask in masks if all(image[mask] >= mask for image in images)]
+        kept = [mask for mask in kept if image[mask] >= mask]
+    return kept
 
 
-def _produced_earlier(rows: tuple[int, ...], index: int, last: dict[int, int]) -> bool:
-    """Whether the child g with these rows, built from parent ``index``, is never first.
+def _produced_earlier(parent: Graph, index: int, last: dict[int, int]) -> Callable[[int], bool]:
+    """Whether the child of parent ``index`` by a mask is never first, as a test on masks.
 
     ``last`` maps each degree code (``graphs._degree_code``) to the largest
-    index of a representative one level down with that code.  The code of
-    g - v is g's code less 16^deg(v) and, for each neighbour u of v,
-    16^deg(u) - 16^(deg(u)-1).  When every representative with that code
-    comes before ``index``, g - v is isomorphic to an earlier parent, and
-    that parent, extended by every mask, has a child isomorphic to g
-    before any child of parent ``index``.  The code only has to be an
-    isomorphism invariant: two degree multisets sharing a code would only
-    raise ``last``.  g - (n-1) is the parent itself and is not tested.
+    index of a representative one level down with that code.  When every
+    representative with the code of a deletion g - v comes before
+    ``index``, g - v is isomorphic to an earlier parent, and that parent,
+    extended by every mask, has a child isomorphic to g before any child of
+    parent ``index``.  The code only has to be an isomorphism invariant:
+    two degree multisets sharing a code would only raise ``last``.
+    g - (n-1) is the parent itself and is not tested.
+
+    The codes come from the parent's tables, built once per parent, with
+    w(u) = 16^deg(u) in the parent P:
+    - ``pcode[v]``, the code of P - v;
+    - ``rise[M]``, the sum of 15 w(u) over u in M: adding the new vertex
+      with neighbourhood M adds 16^|M| + rise[M] to P's code, each
+      neighbour's weight going from w(u) to 16 w(u);
+    - ``drop[M]``, the sum of 15 (w(u) - w(u)/16) over u in M: in P - v a
+      neighbour u of v weighs w(u)/16, so its rise is that much smaller.
+    So the child g by mask M has code(g - v) = pcode[v] + 16^|M - v| +
+    rise[M - v] - drop[M & N(v)], and no child is built to be tested.
 
     A code that no representative has reads as -1.  The full level below
     has every class, so this never happens there.  On a level restricted
     to a hereditary class it means g - v is outside the class, so g is
     outside it too and is skipped as well.
     """
-    weights = [1 << 4 * row.bit_count() for row in rows]
-    code = sum(weights)
-    drops = [weight - (weight >> 4) for weight in weights]
-    for v in range(len(rows) - 1):
-        row = rows[v]
-        lost = weights[v]
-        while row:
-            low = row & -row
-            lost += drops[low.bit_length() - 1]
-            row ^= low
-        if last.get(code - lost, -1) < index:
-            return True
-    return False
+    adj = parent.adj
+    full = (1 << parent.n) - 1
+    rise, drop = [0], [0]
+    for row in adj:
+        weight = 1 << 4 * row.bit_count()
+        rise += [r + 15 * weight for r in rise]
+        drop += [d + 15 * (weight - (weight >> 4)) for d in drop]
+    deletions = [
+        (_degree_code(adj, full ^ 1 << v), full ^ 1 << v, row) for v, row in enumerate(adj)
+    ]
+
+    def produced_earlier(mask: int) -> bool:
+        for pcode, keep, row in deletions:
+            rest = mask & keep
+            code = pcode + (1 << 4 * rest.bit_count()) + rise[rest] - drop[mask & row]
+            if last.get(code, -1) < index:
+                return True
+        return False
+
+    return produced_earlier
 
 
 _Bucket = tuple[tuple[Graph, bytes], ...]
@@ -160,11 +178,11 @@ def _children(n: int, free_of: tuple[str, ...]) -> Iterator[Graph]:
     last = {_degree_code(parent.adj, new - 1): i for i, parent in enumerate(parents)}
     for i, parent in enumerate(parents):
         base = parent.adj
+        produced_earlier = _produced_earlier(parent, i, last)
         for mask in _extension_masks(parent):
-            rows = tuple(row | new if mask >> u & 1 else row for u, row in enumerate(base))
-            rows += (mask,)
-            if not _produced_earlier(rows, i, last):
-                yield _trusted(n, rows)
+            if not produced_earlier(mask):
+                rows = tuple(row | new if mask >> u & 1 else row for u, row in enumerate(base))
+                yield _trusted(n, rows + (mask,))
 
 
 @lru_cache(maxsize=None)
@@ -176,14 +194,16 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     of a member, map the rest onto its representative one level down, and
     the deleted vertex's neighbourhood is the mask.  Each class keeps its
     first child in parent order and then mask order; pruning skips only
-    children that are never first.  Orbit pruning (``_extension_masks``) skips a mask an
-    automorphism of the parent maps lower; earlier-parent pruning
-    (``_produced_earlier``) skips a child with a deletion isomorphic to an
-    earlier parent.  Together they leave 1, 2, 4, 11, 34, 174, 1,623 and
-    32,817 children to refine at levels 1 to 8 of the full enumeration,
-    against 79,264 at level 8 with orbit pruning alone.  A child is kept
-    when ``_isomorph_in`` finds no representative in its bucket: 628
-    mapping searches to level 7, of which 597 find the child's class.
+    children that are never first.  Both prunes are built once per parent
+    and test each mask without building its child.  Orbit pruning
+    (``_extension_masks``) skips a mask an automorphism of the parent maps
+    lower; earlier-parent pruning (``_produced_earlier``) skips a child
+    with a deletion isomorphic to an earlier parent.  Together they leave
+    1, 2, 4, 11, 34, 174, 1,623 and 32,817 children to refine at levels 1
+    to 8 of the full enumeration, against 79,264 at level 8 with orbit
+    pruning alone.  A child is kept when ``_isomorph_in`` finds no
+    representative in its bucket: 628 mapping searches to level 7, of
+    which 597 find the child's class.
 
     Pattern-freeness is hereditary, so a restricted level is exact:
     - every deletion of a member is a member, so the members one level
@@ -196,6 +216,9 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     so each member has the same representative, in the same order.  A
     child that holds a pattern is dropped before it is refined: the
     (P4, C4)-free levels refine 1, 2, 4, 9, 20, 48, 115 and 288 children.
+    Its parent is a member, so a copy of a pattern in a child holds the
+    new vertex n - 1, and only the copies through it are looked for
+    (``forbidden._copy_through``).
 
     Every caller passes ``free_of`` positionally as a tuple, so each
     level is cached once per pattern set: at most 8 levels (the
@@ -205,7 +228,7 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     patterns = [PATTERNS[name] for name in free_of]
     level = _Level([], {})
     for g in _children(n, free_of):
-        if any(contains_induced(g, pattern) is not None for pattern in patterns):
+        if any(_copy_through(g, pattern, n - 1) is not None for pattern in patterns):
             continue
         cells, key = _refine(g)
         bucket = level.buckets.get(key, ())

@@ -225,16 +225,19 @@ def brute_min_code(g: Graph) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
-def brute_contains_induced(g: Graph, p: Graph) -> frozenset[int] | None:
+def brute_contains_induced(g: Graph, p: Graph, through: int | None = None) -> frozenset[int] | None:
     """First subset (lexicographic) inducing p, by trying all bijections.
 
     A k-subset induces p exactly when its upper-triangle adjacency code,
     read in ascending vertex order, is p's code under one of its k!
-    vertex orderings.
+    vertex orderings.  With ``through`` given, only the subsets holding
+    that vertex are tried.
     """
     codes = _ordering_codes(p)
     g_adjacent = _adjacent(g)
     for subset in combinations(range(g.n), p.n):
+        if through is not None and through not in subset:
+            continue
         if tuple(map(g_adjacent, combinations(subset, 2))) in codes:
             return frozenset(subset)
     return None

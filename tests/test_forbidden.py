@@ -31,6 +31,7 @@ from abperfect import (
     pseudoachromatic_number,
     to_graph6,
 )
+from abperfect.forbidden import _copy_through
 from oracles import brute_contains_induced, brute_odd_hole, seeded_gnp, small_classes
 
 
@@ -101,6 +102,24 @@ def test_detection_matches_oracle_on_9_to_32_vertices():
             absent[pattern.name] += got is None
     # Every pattern is found in some hosts and missing from others.
     assert all(0 < count < len(hosts) for count in absent.values()), absent
+
+
+def test_walk_through_a_vertex_matches_oracle():
+    # The enumeration's entry: the walk from a placed vertex finds the
+    # lexicographically smallest copy holding it, which the oracle finds by
+    # trying every bijection of every k-subset holding that vertex.
+    gnp = [seeded_gnp(seed, 8 + seed % 2, (0.3, 0.5, 0.7)[seed % 3]) for seed in range(40)]
+    missing = dict.fromkeys(PATTERNS, 0)
+    tests = 0
+    for g in [*small_classes(6), *gnp]:
+        for v in range(g.n):
+            for pattern in PATTERNS.values():
+                got = _copy_through(g, pattern, v)
+                assert got == brute_contains_induced(g, pattern.graph, v), (to_graph6(g), v)
+                missing[pattern.name] += got is None
+                tests += 1
+    # Every pattern is found through some vertices and missing through others.
+    assert all(0 < count < tests // 4 for count in missing.values()), missing
 
 
 def test_equal_degree_codes_are_decided_by_isomorphism():

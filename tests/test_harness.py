@@ -120,15 +120,69 @@ def test_earlier_parent_pruning_skips_only_children_an_earlier_parent_produced()
         index = {canonical_form(p): j for j, p in enumerate(below)}
         last = {_degree_code(p.adj, (1 << p.n) - 1): j for j, p in enumerate(below)}
         for i, parent in enumerate(below):
+            produced_earlier = harness._produced_earlier(parent, i, last)
             for mask in harness._extension_masks(parent):
                 rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
                 g = Graph(n, rows + [mask])
-                if not harness._produced_earlier(g.adj, i, last):
+                if not produced_earlier(mask):
                     continue
                 skipped += 1
                 deletions = (induced_subgraph(g, set(range(n)) - {v}) for v in range(n - 1))
                 assert min(index[canonical_form(h)] for h in deletions) < i, to_graph6(g)
     assert skipped == 3_910
+
+
+def _assert_earlier_parent_test_is_the_definition(levels):
+    # The per-parent tables give each deletion's code without building the
+    # child; the definition builds the child and codes each deletion g - v
+    # from its rows.  Every orbit-kept child of each level is compared.
+    for n, free_of in levels:
+        below = harness._canonical_level(n - 1, free_of).graphs
+        full = (1 << n) - 1
+        last = {_degree_code(p.adj, full >> 1): j for j, p in enumerate(below)}
+        for i, parent in enumerate(below):
+            produced_earlier = harness._produced_earlier(parent, i, last)
+            for mask in harness._extension_masks(parent):
+                rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+                g = Graph(n, rows + [mask])
+                expected = any(
+                    last.get(_degree_code(g.adj, full ^ 1 << v), -1) < i for v in range(n - 1)
+                )
+                assert produced_earlier(mask) == expected, (free_of, to_graph6(g))
+
+
+def test_earlier_parent_tables_give_the_deletion_codes():
+    _assert_earlier_parent_test_is_the_definition(
+        [(n, ()) for n in range(2, 8)] + [(n, ("P4", "C4")) for n in range(2, 9)]
+    )
+
+
+@pytest.mark.slow
+def test_earlier_parent_tables_give_the_deletion_codes_at_8():
+    _assert_earlier_parent_test_is_the_definition([(8, ())])
+
+
+def _orbit_kept_masks(n, free_of):
+    """The masks the orbit filter keeps over level n - 1, each parent's ascending."""
+    total = 0
+    for parent in harness._canonical_level(n - 1, free_of).graphs:
+        masks = harness._extension_masks(parent)
+        assert masks == sorted(set(masks)), to_graph6(parent)
+        total += len(masks)
+    return total
+
+
+def test_orbit_filter_keeps_one_mask_per_rooted_graph():
+    # One child per rooted graph on n vertices, which are the graphs with
+    # loops on n - 1 vertices (OEIS A000666): the parents' generators are
+    # enough to leave no two masks of one orbit.
+    assert [_orbit_kept_masks(n, ()) for n in range(2, 8)] == [2, 6, 20, 90, 544, 5_096]
+    assert sum(_orbit_kept_masks(n, ("P4", "C4")) for n in range(2, 9)) == 6_415
+
+
+@pytest.mark.slow
+def test_orbit_filter_keeps_one_mask_per_rooted_graph_at_8():
+    assert _orbit_kept_masks(8, ()) == 79_264
 
 
 def _count_lookups(monkeypatch):
@@ -245,10 +299,11 @@ def test_restricted_pruning_skips_only_children_outside_or_produced_earlier():
         index = {canonical_form(p): j for j, p in enumerate(below)}
         last = {_degree_code(p.adj, (1 << p.n) - 1): j for j, p in enumerate(below)}
         for i, parent in enumerate(below):
+            produced_earlier = harness._produced_earlier(parent, i, last)
             for mask in harness._extension_masks(parent):
                 rows = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
                 g = Graph(n, rows + [mask])
-                if not harness._produced_earlier(g.adj, i, last):
+                if not produced_earlier(mask):
                     continue
                 skipped += 1
                 if any(brute_contains_induced(g, p) is not None for p in patterns):
