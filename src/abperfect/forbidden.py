@@ -2,8 +2,9 @@
 
 ``contains_induced`` finds the lexicographically smallest vertex subset
 inducing a pattern by one pruned depth-first walk; its docstring gives the
-argument.  Patterns are capped as the isomorphism test is and build their
-pruning codes once; hosts are bounded only by ``MAX_VERTICES``.
+argument, and ``_copy_through`` runs that walk from one placed vertex for
+the enumeration.  Patterns are capped as the isomorphism test is and build
+their pruning codes once; hosts are bounded only by ``MAX_VERTICES``.
 ``family_check`` scans every family in one loop over its patterns, the odd
 holes and antiholes by ascending length, each built on first use.
 """
