@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Machine verification: every supporting theorem swept over all small graphs.
 
-Enumeration is canonical (one representative per isomorphism class, by
-extension plus canonical-form dedup), so each sweep covers every graph
-of the stated size exactly once.  The same drivers back the command-line
-interface: `abperfect sweep --theorem theorem4 --max-n 7`.
+Enumeration is canonical: one representative per isomorphism class.  Each
+level extends the representatives one level down by a vertex and keeps a
+child unless a mapping search finds an isomorphic graph in its colour
+refinement bucket, so each sweep covers every graph of the stated size
+exactly once.  The same drivers back the command-line interface:
+`abperfect sweep --theorem theorem4 --max-n 7`.
 
 Sizes here are chosen to finish in a few seconds; the acceptance suite
 runs the full-depth versions (theorem4 up to n=7, and the cycle table to

@@ -3,7 +3,8 @@
 - Enumeration: ``_canonical_level`` builds one level of representatives,
   one per isomorphism class, indexed by colour refinement, and restricted
   to a pattern-free class when asked; its docstring gives the argument.
-  ``enumerate_graphs`` is the public entry.
+  ``enumerate_graphs`` is the public entry.  ``_class_index`` finds the
+  class of any rows on a level, kept in the level's one map.
 - The flag table: the comment above ``Pair`` states the definition it
   evaluates, ``_table_rows`` walks the classes bottom-up and
   ``_live_pairs`` reads each class's deletions one level down.
@@ -131,10 +132,13 @@ class _Level(NamedTuple):
     ``graphs`` lists the representatives in enumeration order.
     ``buckets`` maps a refinement invariant (``graphs._refine``) to the
     representatives sharing it, each with its refined cells as bytes.
+    ``by_rows`` maps adjacency rows to their class's index in ``graphs``:
+    the representatives' from the start, others as ``_class_index`` finds them.
     """
 
     graphs: list[Graph]
     buckets: dict[int, _Bucket]
+    by_rows: dict[tuple[int, ...], int]
 
 
 def _isomorph_in(bucket: _Bucket, g: Graph, cells: list[int]) -> Graph | None:
@@ -150,22 +154,24 @@ def _isomorph_in(bucket: _Bucket, g: Graph, cells: list[int]) -> Graph | None:
     return None
 
 
-def _representative(level: _Level, g: Graph) -> Graph:
-    """The representative on ``level`` of g's class, which must be there.
+def _class_index(level: _Level, rows: tuple[int, ...]) -> int:
+    """The index on ``level`` of the class of the graph with ``rows``, which must be there.
 
     A one-vertex deletion of a class is always on the level below: a full
     level has every class, and a restricted one every deletion of its
-    members, since pattern-freeness is hereditary.  So a bucket of one
-    member answers with no search; a larger one runs the mapping search
-    on its members in turn.
+    members, since pattern-freeness is hereditary.  Rows not yet in the
+    level's map are refined, a bucket of one member answering with no
+    search, and the answer is kept in the map for every later caller.
     """
-    cells, key = _refine(g)
-    bucket = level.buckets[key]
-    if len(bucket) == 1:
-        return bucket[0][0]
-    member = _isomorph_in(bucket, g, cells)
-    assert member is not None, "the class of a deletion is always one level down"
-    return member
+    index = level.by_rows.get(rows)
+    if index is None:
+        g = _trusted(len(rows), rows)
+        cells, key = _refine(g)
+        bucket = level.buckets[key]
+        member = bucket[0][0] if len(bucket) == 1 else _isomorph_in(bucket, g, cells)
+        assert member is not None, "the class of a deletion is always one level down"
+        index = level.by_rows[rows] = level.by_rows[member.adj]
+    return index
 
 
 def _children(n: int, free_of: tuple[str, ...]) -> Iterator[Graph]:
@@ -220,13 +226,12 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     new vertex n - 1, and only the copies through it are looked for
     (``forbidden._copy_through``).
 
-    Every caller passes ``free_of`` positionally as a tuple, so each
-    level is cached once per pattern set: at most 8 levels (the
-    enumeration cap) for the full enumeration and for each pattern set
-    that a target names or a caller asks for.
+    Every caller passes ``free_of`` positionally as a tuple, so each level
+    and its map are cached once per pattern set: at most 8 levels, the
+    enumeration cap, for the full enumeration and each set asked for.
     """
     patterns = [PATTERNS[name] for name in free_of]
-    level = _Level([], {})
+    level = _Level([], {}, {})
     for g in _children(n, free_of):
         if any(_copy_through(g, pattern, n - 1) is not None for pattern in patterns):
             continue
@@ -234,6 +239,7 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
         bucket = level.buckets.get(key, ())
         if _isomorph_in(bucket, g, cells) is None:
             level.buckets[key] = bucket + ((g, bytes(cells)),)
+            level.by_rows[g.adj] = len(level.graphs)
             level.graphs.append(g)
     return level
 
@@ -261,16 +267,15 @@ def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
 # Every proper induced subgraph of G lies inside some G - v, so by the
 # definition of ab-perfectness alone
 #     perfect_ab(G) = [a(G) = b(G)] and perfect_ab(G - v) for every v,
-# with each G - v read from the level below by its rows, down to the
-# empty graph, which is perfect for every pair.  The deletions are read
-# first and a(G), b(G) solved only where they all hold; the flag is the
-# same either way.  No theorem a sweep verifies is assumed.
+# with each G - v read from the level below by its class index, down to
+# the empty graph, which is perfect for every pair.  The deletions are
+# read first and a(G), b(G) solved only where they all hold; the flag is
+# the same either way.  No theorem a sweep verifies is assumed.
 # ---------------------------------------------------------------------------
 
 
 Pair = tuple[str, str]
 Flags = dict[Pair, bool]
-LevelFlags = dict[tuple[int, ...], Flags]
 Row = tuple[Graph, list[str]]
 
 
@@ -318,31 +323,24 @@ def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, l
     return flags, [] if detail is None else [detail]
 
 
-def _live_pairs(g: Graph, target: _Target, below: LevelFlags) -> tuple[Pair, ...]:
+def _live_pairs(g: Graph, target: _Target, level: _Level, below: list[Flags]) -> tuple[Pair, ...]:
     """The pairs of ``target`` for which every one-vertex deletion of g is perfect.
 
-    Each deletion g - v is built by shifting the higher bits of each row
-    down one place and its flags are read from ``below`` by those rows.
-    On a miss the deletion's class representative is looked up once in
-    its refinement bucket on the target's own level one down
-    (``_representative``), and its flags are stored under the deletion's
-    rows.  g - (n-1) is g's enumeration parent, a representative one
-    level down, so it is read first and never looked up.  The other
-    deletions are read only while some pair is still alive.
+    ``below`` lists the flags of ``level``'s classes, the target's own level
+    one down.  Each g - v is built by shifting the higher bits of each row
+    down one place and read at its ``_class_index``: g - (n-1), g's
+    enumeration parent, first, its rows being in the map from the start,
+    and the others only while some pair is still alive.
     """
-    n = g.n
     live = target.pairs
-    for v in (n - 1, *range(n - 1)):
+    for v in (g.n - 1, *range(g.n - 1)):
         if not live:
             break
         low = (1 << v) - 1
         deleted = tuple(
             (row & low) | (row >> (v + 1) << v) for u, row in enumerate(g.adj) if u != v
         )
-        flags = below.get(deleted)
-        if flags is None:
-            level = _canonical_level(n - 1, target.free_of)
-            flags = below[deleted] = below[_representative(level, _trusted(n - 1, deleted)).adj]
+        flags = below[_class_index(level, deleted)]
         live = tuple(pair for pair in live if flags[pair])
     return live
 
@@ -355,25 +353,27 @@ def _table_rows(
     For each level, the calling process first reads the flags of every
     class's deletions from the level below and finds the pairs still
     alive; a pair with an imperfect deletion is False without a solve.
-    One dict per level maps a deletion's rows to its flags, seeded with
-    the empty graph's all-True flags, the base case of the definition;
-    it holds the representatives' flags and gains each looked-up deletion,
-    and is dropped with the level.  The classes are then solved and
-    checked independently, in ``pool`` when given.
+    A level's flags are a list by class index, dropped once the level
+    above is read; a deletion's class is found in the cached level's map,
+    so it is refined at most once per process, whichever sweep asks.  The
+    classes are then solved and checked independently, in ``pool``.
     """
     target = _TARGETS[theorem]
     check = partial(_check_row, theorem)
-    below: LevelFlags = {(): dict.fromkeys(target.pairs, True)}
+    below: list[Flags] = []
     for n in range(1, n_max + 1):
         graphs = list(enumerate_graphs(n, target.free_of))
-        lives = [_live_pairs(g, target, below) for g in graphs]
+        lives = [target.pairs] * len(graphs)  # n = 1: G - v is the empty graph, all-perfect
+        if n > 1:
+            level = _canonical_level(n - 1, target.free_of)
+            lives = [_live_pairs(g, target, level, below) for g in graphs]
         if pool is None:
             results = map(check, graphs, lives)
         else:
             results = pool.map(check, graphs, lives, chunksize=16)
-        here: LevelFlags = {}
+        here: list[Flags] = []
         for g, result in zip(graphs, results):
-            here[g.adj] = result[0]
+            here.append(result[0])
             yield g, result
         below = here
 

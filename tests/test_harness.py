@@ -228,28 +228,36 @@ def test_cold_enumeration_labels_pinned_children(monkeypatch):
     assert cold.cache_info().currsize == 7 + 8
 
 
-def _assert_lookups_agree_with_canonical_form(n_values):
-    # Every deletion of every class, found in its refinement bucket one
-    # level down, is the representative with its canonical form: the slow
+def _assert_lookups_agree_with_canonical_form(monkeypatch, n_values):
+    # Every deletion of every class is asked for its class twice on a cold
+    # level one down.  The first ask refines it, unless its rows are a
+    # representative's or were asked before; the second reads the level's
+    # map.  Both answers are checked against the canonical form, the slow
     # path, which shares no code with the buckets beyond _refine.
+    cold, _ = _record_levels(monkeypatch)
+    refined, _ = _count_lookups(monkeypatch)
     for free_of in ((), ("P4", "C4")):
         for n in n_values:
-            below = harness._canonical_level(n - 1, free_of)
-            by_form = {canonical_form(h): h for h in below.graphs}
-            for g in enumerate_graphs(n, free_of):
+            below = cold(n - 1, free_of)
+            by_form = {canonical_form(h): i for i, h in enumerate(below.graphs)}
+            for g in cold(n, free_of).graphs:
                 for v in range(n):
                     h = induced_subgraph(g, set(range(n)) - {v})
-                    found = harness._representative(below, h)
-                    assert found is by_form[canonical_form(h)], (free_of, to_graph6(g), v)
+                    want = by_form[canonical_form(h)]
+                    for refines in (h.adj not in below.by_rows, False):
+                        refined.clear()
+                        found = harness._class_index(below, h.adj)
+                        assert found == want, (free_of, to_graph6(g), v)
+                        assert len(refined) == refines
 
 
-def test_deletion_lookups_agree_with_canonical_form():
-    _assert_lookups_agree_with_canonical_form(range(2, 8))
+def test_deletion_lookups_agree_with_canonical_form(monkeypatch):
+    _assert_lookups_agree_with_canonical_form(monkeypatch, range(2, 8))
 
 
 @pytest.mark.slow
-def test_deletion_lookups_agree_with_canonical_form_at_8():
-    _assert_lookups_agree_with_canonical_form([8])
+def test_deletion_lookups_agree_with_canonical_form_at_8(monkeypatch):
+    _assert_lookups_agree_with_canonical_form(monkeypatch, [8])
 
 
 def _assert_restricted_levels_filter_the_full_ones(n_values):
@@ -643,21 +651,26 @@ def test_pair_sweeps_solve_only_where_every_deletion_is_perfect(monkeypatch):
 
 
 def test_pair_sweep_labels_each_deletion_at_most_once(monkeypatch):
-    # A deletion with the rows of a representative one level down is read
-    # by those rows, the enumeration parent among them; any other is
-    # looked up once per sweep.  The enumeration is warmed first, so every
-    # refinement that harness makes here is a deletion's lookup, and a
-    # mapping search runs only where the lookup's bucket has two members.
-    harness._canonical_level(7, ())
-    representatives = {
-        h.adj for n in range(1, 7) for h in harness._canonical_level(n, ()).graphs
-    }
+    # Each level's map holds its representatives' rows from the start, the
+    # enumeration parent's among them, and gains any other deletion the
+    # first time a sweep in the process asks for it.  The levels are built
+    # cold first, so every refinement that harness makes here is a
+    # deletion's lookup, and a mapping search runs only where the lookup's
+    # bucket has two members.
+    cold, _ = _record_levels(monkeypatch)
+    cold(7, ())
+    representatives = {h.adj for n in range(1, 7) for h in cold(n, ()).graphs}
     refined, searched = _count_lookups(monkeypatch)
-    assert sweep("theorem4", 7).passed
+    counts = []
+    for theorem in ("theorem4", "figure3_inclusions", "theorem1_cs", "theorem2_cs"):
+        before = (len(refined), len(searched))
+        assert sweep(theorem, 7).passed
+        counts.append((len(refined) - before[0], len(searched) - before[1]))
+    assert counts == [(182, 4), (1_166, 45), (0, 0), (0, 0)]
     looked_up = [g.adj for g in refined]
     assert not representatives.intersection(looked_up)
-    assert len(set(looked_up)) == len(looked_up) == 182
-    assert len(searched) == 4
+    assert len(set(looked_up)) == len(looked_up)
+    assert len(cold(6, ()).by_rows) == 1_338
 
 
 def test_interpolation_gap_matches_brute_force_counts(monkeypatch):
