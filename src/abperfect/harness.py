@@ -9,8 +9,9 @@
   evaluates, ``_table_rows`` walks the classes bottom-up and
   ``_live_pairs`` reads each class's deletions one level down.
 - Sweeps: each theorem id is a stream of rows (graph, details), a
-  ``_Target`` in ``_TARGETS`` or ``lemma2``'s grid; ``sweep`` counts the
-  rows and keeps the first violations.  Reports are identical, elapsed
+  ``_Target`` in ``_TARGETS`` on the full levels, or ``lemma1``'s
+  (P4, C4)-free classes or ``lemma2``'s grid; ``sweep`` counts the rows
+  and keeps the first violations.  Reports are identical, elapsed
   time aside, across runs and worker counts.
 """
 
@@ -157,11 +158,10 @@ def _isomorph_in(bucket: _Bucket, g: Graph, cells: list[int]) -> Graph | None:
 def _class_index(level: _Level, rows: tuple[int, ...]) -> int:
     """The index on ``level`` of the class of the graph with ``rows``, which must be there.
 
-    A one-vertex deletion of a class is always on the level below: a full
-    level has every class, and a restricted one every deletion of its
-    members, since pattern-freeness is hereditary.  Rows not yet in the
-    level's map are refined, a bucket of one member answering with no
-    search, and the answer is kept in the map for every later caller.
+    A one-vertex deletion of a class is always on the full level below,
+    which has every class.  Rows not yet in the level's map are refined, a
+    bucket of one member answering with no search, and the answer is kept
+    in the map for every later caller.
     """
     index = level.by_rows.get(rows)
     if index is None:
@@ -226,9 +226,9 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     new vertex n - 1, and only the copies through it are looked for
     (``forbidden._copy_through``).
 
-    Every caller passes ``free_of`` positionally as a tuple, so each level
-    and its map are cached once per pattern set: at most 8 levels, the
-    enumeration cap, for the full enumeration and each set asked for.
+    Every caller passes ``free_of`` positionally as a tuple without repeats,
+    so each level and its map are cached once per ordered pattern set: at
+    most 8 levels, the enumeration cap, for each of the 65 such sets.
     """
     patterns = [PATTERNS[name] for name in free_of]
     level = _Level([], {}, {})
@@ -254,7 +254,7 @@ def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
     when it is called, not when the iterator is first read.
     """
     check_cap("canonical enumeration", n)
-    free_of = tuple(free_of)
+    free_of = tuple(dict.fromkeys(free_of))
     unknown = [name for name in free_of if name not in PATTERNS]
     if unknown:
         raise ValueError(f"unknown patterns {unknown}, expected names from {sorted(PATTERNS)}")
@@ -281,7 +281,7 @@ Row = tuple[Graph, list[str]]
 
 @dataclass(frozen=True)
 class _Target:
-    """One table-backed sweep: the check run on each class and what it needs.
+    """One table-backed sweep: the check run on every class and what it needs.
 
     ``check(g, values, flags)`` returns a violation detail, or None, and
     works out any per-graph result beyond the invariants itself.
@@ -289,10 +289,7 @@ class _Target:
     chain reaches the check instead of raising: the invariants in
     ``invariants`` are solved on every class, those of a pair in ``pairs``
     only where the pair can still hold (see ``_live_pairs``).  ``flags``
-    maps each pair (a, b) to whether the class is a-b-perfect.  The table
-    holds only the classes free of the ``PATTERNS`` that ``free_of`` names
-    (see ``_canonical_level``).  A class failing ``hypothesis`` is not
-    checked or counted, but still gets its flags for the classes above.
+    maps each pair (a, b) to whether the class is a-b-perfect.
     ``witnesses()`` streams rows of graphs outside the table, checked
     after it.
     """
@@ -300,25 +297,20 @@ class _Target:
     check: Callable[[Graph, dict[str, int], Flags], str | None]
     pairs: tuple[Pair, ...] = ()
     invariants: tuple[str, ...] = ()
-    hypothesis: Callable[[Graph], bool] | None = None
     witnesses: Callable[[], Iterator[Row]] | None = None
-    free_of: tuple[str, ...] = ()
 
 
-def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, list[str] | None]:
-    """Worker body: g's flags and its check's details, None off the hypothesis.
+def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, list[str]]:
+    """Worker body: g's flags and its check's details.
 
-    Solves both sides of each ``live`` pair and, on the hypothesis, the
-    target's own invariants, each invariant once; a pair that is not live
-    is False unsolved.
+    Solves both sides of each ``live`` pair and the target's own
+    invariants, each invariant once; a pair that is not live is False
+    unsolved.
     """
     target = _TARGETS[theorem]
-    checked = target.hypothesis is None or target.hypothesis(g)
-    wanted = set(target.invariants if checked else ()).union(*live)
+    wanted = set(target.invariants).union(*live)
     values = {name: solve(g) for name, solve in INVARIANT_SOLVERS.items() if name in wanted}
     flags = {(a, b): (a, b) in live and values[a] == values[b] for a, b in target.pairs}
-    if not checked:
-        return flags, None
     detail = target.check(g, values, flags)
     return flags, [] if detail is None else [detail]
 
@@ -326,8 +318,8 @@ def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, l
 def _live_pairs(g: Graph, target: _Target, level: _Level, below: list[Flags]) -> tuple[Pair, ...]:
     """The pairs of ``target`` for which every one-vertex deletion of g is perfect.
 
-    ``below`` lists the flags of ``level``'s classes, the target's own level
-    one down.  Each g - v is built by shifting the higher bits of each row
+    ``below`` lists the flags of ``level``'s classes, the full level one
+    down.  Each g - v is built by shifting the higher bits of each row
     down one place and read at its ``_class_index``: g - (n-1), g's
     enumeration parent, first, its rows being in the map from the start,
     and the others only while some pair is still alive.
@@ -347,7 +339,7 @@ def _live_pairs(g: Graph, target: _Target, level: _Level, below: list[Flags]) ->
 
 def _table_rows(
     theorem: str, n_max: int, pool: Executor | None = None
-) -> Iterator[tuple[Graph, tuple[Flags, list[str] | None]]]:
+) -> Iterator[tuple[Graph, tuple[Flags, list[str]]]]:
     """Each class up to n_max vertices with its ``_check_row`` result, in enumeration order.
 
     For each level, the calling process first reads the flags of every
@@ -362,10 +354,10 @@ def _table_rows(
     check = partial(_check_row, theorem)
     below: list[Flags] = []
     for n in range(1, n_max + 1):
-        graphs = list(enumerate_graphs(n, target.free_of))
+        graphs = _canonical_level(n, ()).graphs
         lives = [target.pairs] * len(graphs)  # n = 1: G - v is the empty graph, all-perfect
         if n > 1:
-            level = _canonical_level(n - 1, target.free_of)
+            level = _canonical_level(n - 1, ())
             lives = [_live_pairs(g, target, level, below) for g in graphs]
         if pool is None:
             results = map(check, graphs, lives)
@@ -409,12 +401,6 @@ def _equivalence_target(b: str, **facts: Callable[[Graph], bool]) -> _Target:
         return None
 
     return _Target(check, pairs=pairs)
-
-
-def _check_lemma1(g: Graph, values: dict[str, int], flags: Flags) -> str | None:
-    if not universal_vertices(g):
-        return "connected (C4,P4)-free graph without a universal vertex"
-    return None
 
 
 def _interpolation_target(mode: str, label: str, high: str) -> _Target:
@@ -480,7 +466,6 @@ _TARGETS: dict[str, _Target] = {
     "theorem2_cs": _equivalence_target(
         "alpha", triple_free=lambda g: family_check(g, "achro_triple").free
     ),
-    "lemma1": _Target(_check_lemma1, hypothesis=is_connected, free_of=("P4", "C4")),
     "interpolation_hhp": _interpolation_target("proper_complete", "proper complete", "alpha"),
     "interpolation_grundy": _interpolation_target("grundy", "Grundy", "gamma"),
     "figure3_inclusions": _Target(
@@ -490,7 +475,7 @@ _TARGETS: dict[str, _Target] = {
     ),
 }
 
-THEOREM_IDS = tuple(sorted(_TARGETS)) + ("lemma2",)
+THEOREM_IDS = tuple(sorted([*_TARGETS, "lemma1"])) + ("lemma2",)
 
 
 @dataclass
@@ -517,6 +502,15 @@ class SweepReport:
             ],
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def _sweep_lemma1(n_max: int) -> Iterator[Row]:
+    """Every connected (P4, C4)-free graph has a universal vertex: one row per such class."""
+    for n in range(1, n_max + 1):
+        for g in _canonical_level(n, ("P4", "C4")).graphs:
+            if is_connected(g):
+                detail = "connected (C4,P4)-free graph without a universal vertex"
+                yield g, [] if universal_vertices(g) else [detail]
 
 
 def _sweep_lemma2(n_max: int) -> Iterator[Row]:
@@ -556,7 +550,7 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> Iterator[Row]:
     target = _TARGETS[theorem]
     workers = 1
     if jobs > 1:
-        classes = sum(len(_canonical_level(n, target.free_of).graphs) for n in range(1, n_max + 1))
+        classes = sum(len(_canonical_level(n, ()).graphs) for n in range(1, n_max + 1))
         workers = _worker_count(jobs, classes)
     pool: Executor | nullcontext = nullcontext()
     broken: tuple[type[Exception], ...] = ()
@@ -571,8 +565,7 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> Iterator[Row]:
     try:
         with pool as executor:
             for g, (_, details) in _table_rows(theorem, n_max, executor):
-                if details is not None:
-                    yield g, details
+                yield g, details
     except broken:
         raise RuntimeError(
             f"sweep(jobs={jobs}) lost its worker processes.  Workers are spawned and "
@@ -591,8 +584,9 @@ def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
     ``jobs`` > 1 solves each level's classes in a process pool of at most
     ``jobs`` workers, once this process has read their deletions; rows
     are checked in enumeration order, so the report is identical for any
-    count.  Each row is one checked graph; its details are kept in row
-    order up to ``VIOLATION_LIMIT`` violations in all.
+    count.  ``lemma1`` and ``lemma2`` run in this process.  Each row is
+    one checked graph; its details are kept in row order up to
+    ``VIOLATION_LIMIT`` violations in all.
     """
     start = time.monotonic()
     if jobs < 1:
@@ -600,11 +594,11 @@ def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:
     if theorem == "lemma2":
         check_cap("lemma2 sweep", n_max)
         rows = _sweep_lemma2(n_max)
-    elif theorem in _TARGETS:
+    elif theorem in _TARGETS or theorem == "lemma1":
         cap = CAPS["canonical enumeration"]
         if not 1 <= n_max <= cap:
             raise CapacityError(f"{theorem} sweep capped at n={cap}, got {n_max}")
-        rows = _sweep_table(theorem, n_max, jobs)
+        rows = _sweep_lemma1(n_max) if theorem == "lemma1" else _sweep_table(theorem, n_max, jobs)
     else:
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREM_IDS}")
     checked = 0

@@ -439,9 +439,15 @@ def _record_levels(monkeypatch):
     return cold, asked
 
 
-def test_lemma1_pool_counts_workers_on_its_own_levels(monkeypatch):
-    # Sizing the pool must not build the full levels that lemma1 skips.
+def test_lemma1_runs_in_process_on_its_own_levels(monkeypatch):
+    # With two cpus reported, lemma1 still starts no pool for jobs=2, and
+    # it builds none of the full levels it skips.
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("lemma1 started a process pool")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cold, asked = _record_levels(monkeypatch)
     serial = sweep("lemma1", 7, jobs=1)
     parallel = sweep("lemma1", 7, jobs=2)
@@ -449,25 +455,6 @@ def test_lemma1_pool_counts_workers_on_its_own_levels(monkeypatch):
     assert serial.checked == 85
     assert {free_of for _, free_of in asked} == {("P4", "C4")}
     assert cold.cache_info().currsize == 7
-
-
-def test_restricted_pair_table_reads_only_its_own_levels(monkeypatch):
-    # No target has both pairs and patterns, so a synthetic one checks that
-    # a deletion is looked up on the restricted level below and that the
-    # rows are those of the full table's free classes.
-    pairs = (("omega", "psi"), ("chi", "psi"))
-    for theorem, free_of in (("full", ()), ("restricted", ("P4", "C4"))):
-        target = harness._Target(lambda g, values, flags: None, pairs, free_of=free_of)
-        monkeypatch.setitem(harness._TARGETS, theorem, target)
-    members = {g.adj for n in range(1, 8) for g in enumerate_graphs(n, ("P4", "C4"))}
-    expected = [row for row in harness._table_rows("full", 7) if row[0].adj in members]
-    cold, asked = _record_levels(monkeypatch)
-    cold(7, ("P4", "C4"))
-    # The levels are warm, so every refinement below is a deletion's lookup.
-    refined, searched = _count_lookups(monkeypatch)
-    assert list(harness._table_rows("restricted", 7)) == expected
-    assert {free_of for _, free_of in asked} == {("P4", "C4")}
-    assert (len(refined), len(searched)) == (127, 0)
 
 
 def test_each_level_is_cached_once(monkeypatch):
@@ -478,6 +465,10 @@ def test_each_level_is_cached_once(monkeypatch):
     list(enumerate_graphs(6))
     list(enumerate_graphs(6, []))
     assert cold.cache_info().currsize == 6
+    # A pattern named more than once reads the levels of the name given once.
+    for free_of in (["P4"], ["P4", "P4"], ["P4", "P4", "P4"]):
+        assert list(enumerate_graphs(6, free_of)) == cold(6, ("P4",)).graphs
+        assert cold.cache_info().currsize == 12, free_of
 
 
 def test_sweep_argument_validation():
@@ -487,9 +478,13 @@ def test_sweep_argument_validation():
         sweep("theorem4", 9)
     with pytest.raises(CapacityError):
         sweep("lemma2", 14)
+    with pytest.raises(CapacityError, match="lemma1 sweep capped at n=8, got 9"):
+        sweep("lemma1", 9)
     for jobs in (0, -5):
         with pytest.raises(ValueError, match="jobs"):
             sweep("theorem4", 3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep("lemma1", 3, jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             sweep("lemma2", 3, jobs=jobs)
 
@@ -835,22 +830,6 @@ def test_lemma1_reports_every_class_of_its_hypothesis_in_full_order(monkeypatch)
     report = sweep("lemma1", 7)
     assert report.checked == len(expected) == 85
     assert [g6 for g6, _ in report.violations] == expected
-
-
-def test_pair_target_with_a_hypothesis_flags_every_class(monkeypatch):
-    # A class off the hypothesis is not checked, but its flags are still
-    # found: a connected class can have a disconnected deletion.
-    rows = []
-    target = harness._Target(
-        lambda g, values, flags: rows.append((g, flags)),
-        pairs=(("omega", "psi"),),
-        hypothesis=is_connected,
-    )
-    monkeypatch.setitem(harness._TARGETS, "connected_pair", target)
-    for g, (flags, _) in harness._table_rows("connected_pair", 6):
-        assert flags == {("omega", "psi"): is_ab_perfect(g, "omega", "psi").perfect}
-    assert all(is_connected(g) for g, _ in rows) and len(rows) == 143
-    assert sweep("connected_pair", 6).checked == 143
 
 
 def test_sweep_report_formats():
