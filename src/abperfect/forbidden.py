@@ -2,9 +2,10 @@
 
 ``contains_induced`` finds the lexicographically smallest vertex subset
 inducing a pattern by one pruned depth-first walk; its docstring gives the
-argument, and ``_copy_through`` runs that walk from one placed vertex for
-the enumeration.  Patterns are capped as the isomorphism test is and build
-their pruning codes once; hosts are bounded only by ``MAX_VERTICES``.
+argument, and ``_copy_through`` runs that walk anchored at the host's last
+vertex for the enumeration.  Patterns are capped as the isomorphism test
+is and build their pruning codes once; hosts are bounded only by
+``MAX_VERTICES``.
 ``family_check`` scans every family in one loop over its patterns, the odd
 holes and antiholes by ascending length, each built on first use.
 """
@@ -105,28 +106,30 @@ def contains_induced(g: Graph, pattern: Pattern) -> frozenset[int] | None:
     is decided by a degree-ranked backtracking search for an isomorphism
     onto the pattern.
 
-    The enumeration asks ``_copy_through`` instead, the same walk started
-    from one placed vertex.
+    The enumeration asks ``_copy_through`` instead, the same walk with the
+    host's last vertex placed first.
     """
-    return _copy_through(g, pattern, None)
+    return _copy_through(g, pattern, False)
 
 
-def _copy_through(g: Graph, pattern: Pattern, first: int | None) -> frozenset[int] | None:
-    """The walk of ``contains_induced``, restricted to the copies holding ``first``.
+def _copy_through(g: Graph, pattern: Pattern, anchored: bool) -> frozenset[int] | None:
+    """The walk of ``contains_induced``; if ``anchored``, only the copies holding g.n - 1.
 
-    ``first`` is placed before the walk starts and the other host vertices
-    follow in ascending order, so the first hit is the lexicographically
-    smallest k-subset holding ``first`` that induces the pattern.  With
-    ``first`` None, every k-subset is walked.  A child one level up from a
-    pattern-free parent holds a copy only through its new vertex, so a
-    restricted level tests that vertex alone (``harness._canonical_level``).
+    An anchored walk places the last vertex before it starts and adds the
+    others in ascending order, so its first hit is the lexicographically
+    smallest k-subset holding g.n - 1 that induces the pattern.  A child
+    one level up from a pattern-free parent holds a copy only through its
+    new vertex, the last, so a restricted level walks anchored
+    (``harness._canonical_level``).
     """
     p = pattern.graph
     k = p.n
     adj, codes = g.adj, pattern.codes
     degrees = [row.bit_count() for row in p.adj]
-    chosen, skip = ([], -1) if first is None else ([first], first)
-    stop = g.n - k + 1
+    chosen = [g.n - 1] if anchored else []
+    # With depth vertices placed, v must leave k - depth - 1 candidates
+    # after it, and an anchored walk's candidates stop before g.n - 1.
+    stop = g.n - k + 1 - anchored
 
     def extend(start: int, mask: int, code: int) -> bool:
         depth = len(chosen)
@@ -134,13 +137,7 @@ def _copy_through(g: Graph, pattern: Pattern, first: int | None) -> frozenset[in
             ranks = {v: (adj[v] & mask).bit_count() for v in chosen}
             return _mapping_exists(p, g, degrees, ranks)
         allowed = codes[depth + 1]
-        # v must leave k - depth - 1 unplaced vertices after it.  A placed
-        # vertex at or past the last candidate lies after every candidate
-        # and is not one of them, so the range ends one sooner.
-        end = stop + depth
-        for v in range(start, end - (skip >= end - 1)):
-            if v == skip:
-                continue
+        for v in range(start, stop + depth):
             # v adds 16^deg(v) and lifts each neighbour u from 16^d to 16^(d+1).
             row = adj[v] & mask
             grown = code + (1 << 4 * row.bit_count())
@@ -155,7 +152,7 @@ def _copy_through(g: Graph, pattern: Pattern, first: int | None) -> frozenset[in
         return False
 
     # A placed vertex alone has degree 0, so its code is 16^0 = 1.
-    found = extend(0, 0 if first is None else 1 << first, len(chosen))
+    found = extend(0, 1 << g.n - 1 if anchored else 0, len(chosen))
     return frozenset(chosen) if found else None
 
 

@@ -133,8 +133,9 @@ class _Level(NamedTuple):
     ``graphs`` lists the representatives in enumeration order.
     ``buckets`` maps a refinement invariant (``graphs._refine``) to the
     representatives sharing it, each with its refined cells as bytes.
-    ``by_rows`` maps adjacency rows to their class's index in ``graphs``:
-    the representatives' from the start, others as ``_class_index`` finds them.
+    ``by_rows`` maps adjacency rows to their class's index in ``graphs``.
+    It stays empty until ``_class_index`` first reads the level, which
+    then enters the representatives' rows, and others as it finds them.
     """
 
     graphs: list[Graph]
@@ -159,10 +160,13 @@ def _class_index(level: _Level, rows: tuple[int, ...]) -> int:
     """The index on ``level`` of the class of the graph with ``rows``, which must be there.
 
     A one-vertex deletion of a class is always on the full level below,
-    which has every class.  Rows not yet in the level's map are refined, a
+    which has every class.  The first lookup on a level fills its map with
+    the representatives' rows.  Rows not yet in the map are refined, a
     bucket of one member answering with no search, and the answer is kept
     in the map for every later caller.
     """
+    if not level.by_rows:
+        level.by_rows.update((g.adj, i) for i, g in enumerate(level.graphs))
     index = level.by_rows.get(rows)
     if index is None:
         g = _trusted(len(rows), rows)
@@ -226,20 +230,19 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     new vertex n - 1, and only the copies through it are looked for
     (``forbidden._copy_through``).
 
-    Every caller passes ``free_of`` positionally as a tuple without repeats,
-    so each level and its map are cached once per ordered pattern set: at
-    most 8 levels, the enumeration cap, for each of the 65 such sets.
+    Every caller passes ``free_of`` positionally as a tuple of names in
+    ``PATTERNS`` order, so each level is cached once per pattern set: at
+    most 8 levels, the enumeration cap, for each of the 16 sets.
     """
     patterns = [PATTERNS[name] for name in free_of]
     level = _Level([], {}, {})
     for g in _children(n, free_of):
-        if any(_copy_through(g, pattern, n - 1) is not None for pattern in patterns):
+        if any(_copy_through(g, pattern, True) is not None for pattern in patterns):
             continue
         cells, key = _refine(g)
         bucket = level.buckets.get(key, ())
         if _isomorph_in(bucket, g, cells) is None:
             level.buckets[key] = bucket + ((g, bytes(cells)),)
-            level.by_rows[g.adj] = len(level.graphs)
             level.graphs.append(g)
     return level
 
@@ -249,16 +252,16 @@ def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
 
     ``free_of`` names patterns of ``forbidden.PATTERNS``; only the classes
     containing none of them as an induced subgraph are listed, with the
-    representatives and in the order of the full enumeration.  The
-    patterns are tested in the order given.  The arguments are checked
-    when it is called, not when the iterator is first read.
+    representatives and in the order of the full enumeration.  Only the
+    set of names counts: their order and repeats do not.  The arguments
+    are checked when it is called, not when the iterator is first read.
     """
     check_cap("canonical enumeration", n)
-    free_of = tuple(dict.fromkeys(free_of))
-    unknown = [name for name in free_of if name not in PATTERNS]
+    names = dict.fromkeys(free_of)
+    unknown = [name for name in names if name not in PATTERNS]
     if unknown:
         raise ValueError(f"unknown patterns {unknown}, expected names from {sorted(PATTERNS)}")
-    return iter(_canonical_level(n, free_of).graphs)
+    return iter(_canonical_level(n, tuple(name for name in PATTERNS if name in names)).graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +294,13 @@ class _Target:
     only where the pair can still hold (see ``_live_pairs``).  ``flags``
     maps each pair (a, b) to whether the class is a-b-perfect.
     ``witnesses()`` streams rows of graphs outside the table, checked
-    after it.
+    after it; by default there are none.
     """
 
     check: Callable[[Graph, dict[str, int], Flags], str | None]
     pairs: tuple[Pair, ...] = ()
     invariants: tuple[str, ...] = ()
-    witnesses: Callable[[], Iterator[Row]] | None = None
+    witnesses: Callable[[], Iterable[Row]] = tuple
 
 
 def _check_row(theorem: str, g: Graph, live: tuple[Pair, ...]) -> tuple[Flags, list[str]]:
@@ -321,8 +324,9 @@ def _live_pairs(g: Graph, target: _Target, level: _Level, below: list[Flags]) ->
     ``below`` lists the flags of ``level``'s classes, the full level one
     down.  Each g - v is built by shifting the higher bits of each row
     down one place and read at its ``_class_index``: g - (n-1), g's
-    enumeration parent, first, its rows being in the map from the start,
-    and the others only while some pair is still alive.
+    enumeration parent, first, its rows being a representative's, which
+    the level's first lookup puts in the map, and the others only while
+    some pair is still alive.
     """
     live = target.pairs
     for v in (g.n - 1, *range(g.n - 1)):
@@ -507,7 +511,7 @@ class SweepReport:
 def _sweep_lemma1(n_max: int) -> Iterator[Row]:
     """Every connected (P4, C4)-free graph has a universal vertex: one row per such class."""
     for n in range(1, n_max + 1):
-        for g in _canonical_level(n, ("P4", "C4")).graphs:
+        for g in _canonical_level(n, ("C4", "P4")).graphs:
             if is_connected(g):
                 detail = "connected (C4,P4)-free graph without a universal vertex"
                 yield g, [] if universal_vertices(g) else [detail]
@@ -547,7 +551,6 @@ def _worker_count(jobs: int, items: int) -> int:
 
 
 def _sweep_table(theorem: str, n_max: int, jobs: int) -> Iterator[Row]:
-    target = _TARGETS[theorem]
     workers = 1
     if jobs > 1:
         classes = sum(len(_canonical_level(n, ()).graphs) for n in range(1, n_max + 1))
@@ -572,8 +575,7 @@ def _sweep_table(theorem: str, n_max: int, jobs: int) -> Iterator[Row]:
             "import the calling script again, so a script calling sweep with jobs > 1 "
             'must do so under `if __name__ == "__main__":`.'
         ) from None
-    if target.witnesses is not None:
-        yield from target.witnesses()
+    yield from _TARGETS[theorem].witnesses()
 
 
 def sweep(theorem: str, n_max: int, jobs: int = 1) -> SweepReport:

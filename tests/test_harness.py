@@ -153,7 +153,7 @@ def _assert_earlier_parent_test_is_the_definition(levels):
 
 def test_earlier_parent_tables_give_the_deletion_codes():
     _assert_earlier_parent_test_is_the_definition(
-        [(n, ()) for n in range(2, 8)] + [(n, ("P4", "C4")) for n in range(2, 9)]
+        [(n, ()) for n in range(2, 8)] + [(n, ("C4", "P4")) for n in range(2, 9)]
     )
 
 
@@ -177,7 +177,7 @@ def test_orbit_filter_keeps_one_mask_per_rooted_graph():
     # loops on n - 1 vertices (OEIS A000666): the parents' generators are
     # enough to leave no two masks of one orbit.
     assert [_orbit_kept_masks(n, ()) for n in range(2, 8)] == [2, 6, 20, 90, 544, 5_096]
-    assert sum(_orbit_kept_masks(n, ("P4", "C4")) for n in range(2, 9)) == 6_415
+    assert sum(_orbit_kept_masks(n, ("C4", "P4")) for n in range(2, 9)) == 6_415
 
 
 @pytest.mark.slow
@@ -221,7 +221,7 @@ def test_cold_enumeration_labels_pinned_children(monkeypatch):
     # it, and builds no full level on the way.
     refined.clear()
     searched.clear()
-    cold(8, ("P4", "C4"))
+    cold(8, ("C4", "P4"))
     counts = [[g.n for g in refined].count(n) for n in range(1, 9)]
     assert counts == [1, 2, 4, 9, 20, 48, 115, 288]
     assert [g.n for g in searched] == [8, 8]
@@ -231,20 +231,23 @@ def test_cold_enumeration_labels_pinned_children(monkeypatch):
 def _assert_lookups_agree_with_canonical_form(monkeypatch, n_values):
     # Every deletion of every class is asked for its class twice on a cold
     # level one down.  The first ask refines it, unless its rows are a
-    # representative's or were asked before; the second reads the level's
-    # map.  Both answers are checked against the canonical form, the slow
-    # path, which shares no code with the buckets beyond _refine.
+    # representative's, which the level's first lookup maps, or were asked
+    # before; the second reads the level's map.  Both answers are checked
+    # against the canonical form, the slow path, which shares no code with
+    # the buckets beyond _refine.
     cold, _ = _record_levels(monkeypatch)
     refined, _ = _count_lookups(monkeypatch)
-    for free_of in ((), ("P4", "C4")):
+    for free_of in ((), ("C4", "P4")):
         for n in n_values:
             below = cold(n - 1, free_of)
             by_form = {canonical_form(h): i for i, h in enumerate(below.graphs)}
+            representatives = {h.adj for h in below.graphs}
             for g in cold(n, free_of).graphs:
                 for v in range(n):
                     h = induced_subgraph(g, set(range(n)) - {v})
                     want = by_form[canonical_form(h)]
-                    for refines in (h.adj not in below.by_rows, False):
+                    first = h.adj not in below.by_rows and h.adj not in representatives
+                    for refines in (first, False):
                         refined.clear()
                         found = harness._class_index(below, h.adj)
                         assert found == want, (free_of, to_graph6(g), v)
@@ -299,7 +302,7 @@ def test_restricted_pruning_skips_only_children_outside_or_produced_earlier():
     # by the oracle's test, or has a deletion that is the class of a
     # member parent before its own, by canonical_form.  A free child's
     # deletions are all free, so each is found one level down.
-    free_of = ("P4", "C4")
+    free_of = ("C4", "P4")
     patterns = [PATTERNS[name].graph for name in free_of]
     skipped = outside = 0
     for n in range(2, 9):
@@ -453,7 +456,7 @@ def test_lemma1_runs_in_process_on_its_own_levels(monkeypatch):
     parallel = sweep("lemma1", 7, jobs=2)
     assert (serial.checked, serial.violations) == (parallel.checked, parallel.violations)
     assert serial.checked == 85
-    assert {free_of for _, free_of in asked} == {("P4", "C4")}
+    assert {free_of for _, free_of in asked} == {("C4", "P4")}
     assert cold.cache_info().currsize == 7
 
 
@@ -469,6 +472,30 @@ def test_each_level_is_cached_once(monkeypatch):
     for free_of in (["P4"], ["P4", "P4"], ["P4", "P4", "P4"]):
         assert list(enumerate_graphs(6, free_of)) == cold(6, ("P4",)).graphs
         assert cold.cache_info().currsize == 12, free_of
+    # Names in any order, repeated or not, key one entry per pattern set,
+    # and a one-shot stream of names is read once.
+    expected = cold(6, ("C4", "P4")).graphs
+    assert cold.cache_info().currsize == 18
+    for free_of in (("C4", "P4"), ("P4", "C4"), ["P4", "C4", "P4"], iter(["P4", "C4"])):
+        assert list(enumerate_graphs(6, free_of)) == expected
+        assert cold.cache_info().currsize == 18, free_of
+
+
+def test_level_maps_are_built_on_first_lookup(monkeypatch):
+    # Building a level or streaming it fills no rows map; only a lookup
+    # does, and only on the level it reads.
+    cold, _ = _record_levels(monkeypatch)
+    sweep("lemma1", 8)
+    restricted = [cold(n, ("C4", "P4")) for n in range(1, 9)]
+    assert sum(len(level.graphs) for level in restricted) == 485
+    assert all(not level.by_rows for level in restricted)
+    list(enumerate_graphs(7))
+    full = [cold(n, ()) for n in range(1, 8)]
+    assert all(not level.by_rows for level in full)
+    g = full[5].graphs[-1]
+    assert harness._class_index(full[5], g.adj) == len(full[5].graphs) - 1
+    assert [len(level.by_rows) for level in full] == [0] * 5 + [156, 0]
+    assert all(not level.by_rows for level in restricted)
 
 
 def test_sweep_argument_validation():
