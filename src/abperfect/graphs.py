@@ -11,6 +11,7 @@ are pure, so graphs can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -40,9 +41,9 @@ CAPS = {
 
 
 def check_cap(name: str, n: int) -> None:
-    """Raise ``CapacityError`` unless 1 <= n <= ``CAPS[name]``."""
+    """Raise ``TypeError`` unless n is an integer, ``CapacityError`` unless 1 <= n <= its cap."""
     cap = CAPS[name]
-    if not 1 <= n <= cap:
+    if not 1 <= operator.index(n) <= cap:
         raise CapacityError(f"{name} capped at {cap} vertices, got {n}")
 
 

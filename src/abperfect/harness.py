@@ -2,7 +2,7 @@
 
 - Enumeration: ``_canonical_level`` builds one level of representatives,
   one per isomorphism class, indexed by colour refinement, and restricted
-  to a pattern-free class when asked; its docstring gives the argument.
+  to a pattern-free class for ``lemma1``; its docstring gives the argument.
   ``enumerate_graphs`` is the public entry.  ``_class_index`` finds the
   class of any rows on a level, kept in the level's one map.
 - The flag table: the comment above ``Pair`` states the definition it
@@ -230,9 +230,9 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     new vertex n - 1, and only the copies through it are looked for
     (``forbidden._copy_through``).
 
-    Every caller passes ``free_of`` positionally as a tuple of names in
-    ``PATTERNS`` order, so each level is cached once per pattern set: at
-    most 8 levels, the enumeration cap, for each of the 16 sets.
+    The cache holds two kinds of level, at most 8 of each, the
+    enumeration cap: the full levels, ``free_of == ()``, and ``lemma1``'s
+    (P4, C4)-free levels, ``("C4", "P4")``.
     """
     patterns = [PATTERNS[name] for name in free_of]
     level = _Level([], {}, {})
@@ -247,21 +247,13 @@ def _canonical_level(n: int, free_of: tuple[str, ...]) -> _Level:
     return level
 
 
-def enumerate_graphs(n: int, free_of: Iterable[str] = ()) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Iterate one graph per isomorphism class on n vertices.
 
-    ``free_of`` names patterns of ``forbidden.PATTERNS``; only the classes
-    containing none of them as an induced subgraph are listed, with the
-    representatives and in the order of the full enumeration.  Only the
-    set of names counts: their order and repeats do not.  The arguments
-    are checked when it is called, not when the iterator is first read.
+    The cap is checked when it is called, not when the iterator is first read.
     """
     check_cap("canonical enumeration", n)
-    names = dict.fromkeys(free_of)
-    unknown = [name for name in names if name not in PATTERNS]
-    if unknown:
-        raise ValueError(f"unknown patterns {unknown}, expected names from {sorted(PATTERNS)}")
-    return iter(_canonical_level(n, tuple(name for name in PATTERNS if name in names)).graphs)
+    return iter(_canonical_level(n, ()).graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from abperfect import (
     sweep,
     to_graph6,
 )
-from abperfect.graphs import CAPS
+from abperfect.graphs import CAPS, check_cap
 from abperfect.solvers import (
     _MODE_SOLVERS,
     INVARIANT_STEPS,
@@ -544,6 +544,10 @@ def test_capacity_caps_are_errors():
         with pytest.raises(CapacityError, match=rf"\b{cap}\b.*, got {cap + 1}$"):
             capped[name](cap + 1)
         capped[name](cap)
+        # A vertex count must be an integer; a bool counts as 0 or 1.
+        with pytest.raises(TypeError):
+            check_cap(name, 2.5)
+        check_cap(name, True)
     assert set(_MODE_SOLVERS) == {"complete", "proper_complete", "grundy"}
     for mode, name in _MODE_SOLVERS.items():
         cap = CAPS[name]
